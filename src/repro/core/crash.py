@@ -52,6 +52,12 @@ class CrashController:
     def __init__(self) -> None:
         self._armed_point: Optional[str] = None
         self._armed_occurrence: int = 1
+        #: Whether a crash point is currently armed. The secure-memory
+        #: persist path calls :meth:`probe` only while this is set: with
+        #: nothing armed no probe can fire, and :meth:`arm` restarts the
+        #: occurrence count of its point, so counts taken while unarmed
+        #: would never be used.
+        self.armed: bool = False
         self._seen: Dict[str, int] = defaultdict(int)
         self.fired: bool = False
 
@@ -65,22 +71,13 @@ class CrashController:
             raise ValueError("occurrence is 1-based")
         self._armed_point = point
         self._armed_occurrence = occurrence
+        self.armed = True
         self._seen[point] = 0
         self.fired = False
 
     def disarm(self) -> None:
         self._armed_point = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether any crash point is currently armed.
-
-        The batched-replay fast chain consults this once per run: with
-        nothing armed, :meth:`probe` can never fire and skipping it is
-        unobservable (occurrence counts are only meaningful to crash
-        harnesses, which always arm first).
-        """
-        return self._armed_point is not None
+        self.armed = False
 
     def probe(self, point: str, detail: str = "") -> None:
         """Called by components at vulnerable points; may raise."""
@@ -91,10 +88,15 @@ class CrashController:
         ):
             self.fired = True
             self._armed_point = None
+            self.armed = False
             raise CrashInjected(point, detail)
 
     def occurrences(self, point: str) -> int:
-        """How many times ``point`` has been probed."""
+        """How many times ``point`` has been probed since it was last armed.
+
+        The secure-memory persist path probes only while some point is
+        armed, so its points are not counted while nothing is.
+        """
         return self._seen[point]
 
 

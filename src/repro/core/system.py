@@ -28,6 +28,16 @@ Read path (Figure 2b/3)
 All timing flows through the controller; all functional content lives in
 the controller's NVM store, so a crash can be modelled by flushing the ADR
 domain and discarding SRAM.
+
+Each path has one body returning a bare float
+(:meth:`SecureMemorySystem.persist_line_fast`,
+:meth:`SecureMemorySystem.read_line_fast`). The batched replay loop
+calls it directly; :meth:`SecureMemorySystem.persist_line` and
+:meth:`SecureMemorySystem.read_line` wrap it in result objects. Tracer
+emissions are guarded by a flag taken from ``tracer.enabled`` at
+construction, and crash probes run only while a crash point is armed,
+so traced and crash-armed runs execute the same chain as the runs
+behind the figures.
 """
 
 from __future__ import annotations
@@ -171,6 +181,7 @@ class SecureMemorySystem:
         self.config = config
         self.stats = stats if stats is not None else Stats()
         self.tracer = tracer
+        self._tracing = tracer.enabled
         self.crash_ctl = crash if crash is not None else CrashController()
         self.amap: AddressMap = config.address_map()
         self.controller = MemoryController(config, self.stats, tracer=tracer)
@@ -208,6 +219,7 @@ class SecureMemorySystem:
         self._k_data_reads = ("secmem", "data_reads")
         self._k_cc_read_accesses = ("cc", "read_accesses")
         self._k_cc_read_hits = ("cc", "read_hits")
+        self._k_reencryptions = ("secmem", "page_reencryptions")
         # Integrity layer (the SuperMem+BMT scheme): a timed Bonsai
         # Merkle counter tree updated through a write-back node cache
         # with coalesced ancestor updates, plus per-line MAC latency.
@@ -287,15 +299,14 @@ class SecureMemorySystem:
 
     def _fetch_counter_line(self, t: float, line: int, block_key: int) -> float:
         """Counter-cache miss: read the counter line from NVM."""
-        data_bank = self.amap.bank_of_line(line)
-        placement = self.layout.placement(block_key, data_bank)
-        result = self.controller.read(
-            t, placement.line, bank=placement.bank, row=placement.row
+        placement = self.layout.placement(block_key, self.amap.bank_of_line(line))
+        finish = self.controller.read_fast(
+            t, placement.line, placement.bank, placement.row
         )
         self.stats.inc("secmem", "counter_fetches")
-        if self.tracer.enabled:
+        if self._tracing:
             self.tracer.cc_fetch(t, placement.line)
-        return result.finish_time
+        return finish
 
     # ------------------------------------------------------------------
     # Integrity tree (SuperMem+BMT): timed coalesced update/verify walks
@@ -307,15 +318,14 @@ class SecureMemorySystem:
     # path verifies an NVM-fetched counter block upward until a cached
     # (hence already-verified) node or the root register is reached.
     # Both walks are payload-free: timing and full fidelity execute the
-    # identical float/stat sequence, and the _fast twins below differ
-    # only in the controller entry points (read_fast/append_write_fast),
-    # keeping batched replay bit-identical to the scalar path.
+    # identical float/stat sequence.
 
     def _tree_update(self, t: float, block_key: int, core: int) -> float:
         """Coalesced leaf→root update walk; returns its completion time."""
         cache = self.tree_cache
         geom = self._tree_geom
         vals = self._vals
+        controller = self.controller
         t_it = t + self._hash_ns  # rehash the leaf (counter block)
         for node in geom.ancestors(block_key):
             if cache.is_dirty(node):
@@ -324,55 +334,22 @@ class SecureMemorySystem:
             hit, writeback, fetch = cache.access(node, update=True)
             if fetch:
                 line, bank, row = geom.placement(node, self._n_banks)
-                result = self.controller.read(t_it, line, bank=bank, row=row)
-                if result.finish_time > t_it:
-                    t_it = result.finish_time
-                vals[self._k_node_fetches] += 1
-            if writeback is not None:
-                wline, wbank, wrow = geom.placement(writeback, self._n_banks)
-                self.controller.append_write(
-                    t_it,
-                    wline,
-                    bank=wbank,
-                    row=wrow,
-                    is_counter=True,
-                    payload=None,
-                    core=core,
-                )
-            t_it += self._hash_ns  # rehash this ancestor
-        return t_it + self._hash_ns  # root register rehash
-
-    def _tree_update_fast(self, t: float, block_key: int, core: int) -> float:
-        """:meth:`_tree_update` on the fast controller chain."""
-        cache = self.tree_cache
-        geom = self._tree_geom
-        vals = self._vals
-        controller = self.controller
-        t_it = t + self._hash_ns
-        for node in geom.ancestors(block_key):
-            if cache.is_dirty(node):
-                cache.note_coalesced()
-                return t_it
-            hit, writeback, fetch = cache.access(node, update=True)
-            if fetch:
-                line, bank, row = geom.placement(node, self._n_banks)
-                finish = controller.read_fast(t_it, line, bank=bank, row=row)
+                finish = controller.read_fast(t_it, line, bank, row)
                 if finish > t_it:
                     t_it = finish
                 vals[self._k_node_fetches] += 1
             if writeback is not None:
                 wline, wbank, wrow = geom.placement(writeback, self._n_banks)
-                controller.append_write_fast(
-                    t_it, wline, wbank, wrow, True, None, core
-                )
-            t_it += self._hash_ns
-        return t_it + self._hash_ns
+                controller.append_write(t_it, wline, wbank, wrow, True, None, core)
+            t_it += self._hash_ns  # rehash this ancestor
+        return t_it + self._hash_ns  # root register rehash
 
     def _tree_verify(self, t: float, block_key: int, core: int) -> float:
         """Verify an NVM-fetched counter block against the tree."""
         cache = self.tree_cache
         geom = self._tree_geom
         vals = self._vals
+        controller = self.controller
         vals[self._k_path_verifies] += 1
         t += self._hash_ns  # hash the fetched counter block
         for node in geom.ancestors(block_key):
@@ -380,61 +357,32 @@ class SecureMemorySystem:
             if hit:
                 return t  # cached nodes are already verified — trusted stop
             line, bank, row = geom.placement(node, self._n_banks)
-            result = self.controller.read(t, line, bank=bank, row=row)
-            if result.finish_time > t:
-                t = result.finish_time
-            vals[self._k_node_fetches] += 1
-            if writeback is not None:
-                wline, wbank, wrow = geom.placement(writeback, self._n_banks)
-                self.controller.append_write(
-                    t,
-                    wline,
-                    bank=wbank,
-                    row=wrow,
-                    is_counter=True,
-                    payload=None,
-                    core=core,
-                )
-            t += self._hash_ns  # verify hash at this level
-        return t  # reached the root register; the compare is free
-
-    def _tree_verify_fast(self, t: float, block_key: int, core: int) -> float:
-        """:meth:`_tree_verify` on the fast controller chain."""
-        cache = self.tree_cache
-        geom = self._tree_geom
-        vals = self._vals
-        controller = self.controller
-        vals[self._k_path_verifies] += 1
-        t += self._hash_ns
-        for node in geom.ancestors(block_key):
-            hit, writeback, fetch = cache.access(node, update=False)
-            if hit:
-                return t
-            line, bank, row = geom.placement(node, self._n_banks)
-            finish = controller.read_fast(t, line, bank=bank, row=row)
+            finish = controller.read_fast(t, line, bank, row)
             if finish > t:
                 t = finish
             vals[self._k_node_fetches] += 1
             if writeback is not None:
                 wline, wbank, wrow = geom.placement(writeback, self._n_banks)
-                controller.append_write_fast(
-                    t, wline, wbank, wrow, True, None, core
-                )
-            t += self._hash_ns
-        return t
+                controller.append_write(t, wline, wbank, wrow, True, None, core)
+            t += self._hash_ns  # verify hash at this level
+        return t  # reached the root register; the compare is free
+
+    # perfbench/layers.py times these names; one body serves each pair.
+    _tree_update_fast = _tree_update
+    _tree_verify_fast = _tree_verify
 
     # ------------------------------------------------------------------
     # Persist path (clwb write-backs and dirty LLC evictions)
     # ------------------------------------------------------------------
 
-    def persist_line(
+    def persist_line_fast(
         self,
         t: float,
         line: int,
         payload: Optional[bytes] = None,
         core: int = 0,
         persistent: bool = True,
-    ) -> PersistResult:
+    ) -> float:
         """Persist one dirty line arriving at the memory controller.
 
         ``persistent`` distinguishes explicit flushes (clwb — the write
@@ -445,22 +393,26 @@ class SecureMemorySystem:
         Returns the durability time: when the line (plus its counter under
         write-through) entered the ADR domain.
         """
-        self._check_alive()
+        if self._dead:
+            raise SimulationError("memory system used after crash()")
         self._vals[self._k_data_writes] += 1
+        controller = self.controller
+        amap = self.amap
+        crash = self.crash_ctl
 
         if not self._encrypted:
-            durable = self.controller.append_write(
-                t, line, payload=payload, core=core
+            durable = controller.append_write(
+                t, line, amap.bank_of_line(line), amap.row_of_line(line),
+                False, payload, core,
             )
-            self.crash_ctl.probe("after-data-append")
-            return PersistResult(durable_time=durable)
+            if crash.armed:
+                crash.probe("after-data-append")
+            return durable
 
         # 1. advance the counter; handle minor overflow by re-encrypting.
-        reencrypted = False
         block_key, slot, overflowed = self.counters.bump(line)
         if overflowed:
-            t = self.reencrypt_page(t, self.amap.page_of_line(line))
-            reencrypted = True
+            t = self.reencrypt_page(t, amap.page_of_line(line))
             block_key, slot, overflowed = self.counters.bump(line)
             if overflowed:  # pragma: no cover - fresh minors cannot saturate
                 raise SimulationError("minor counter overflowed after re-encryption")
@@ -470,28 +422,17 @@ class SecureMemorySystem:
             block_key, update=True, t=t
         )
         if fetch:
-            t = max(t, self._fetch_counter_line(t, line, block_key))
+            fetched = self._fetch_counter_line(t, line, block_key)
+            if fetched > t:
+                t = fetched
         if writeback_page is not None:
             # Write-back mode: a dirty victim leaves the cache.
-            victim = self._counter_entry(
-                line=writeback_page * self.counters.lines_per_block,
-                block_key=writeback_page,
-                payload_wanted=self._functional,
-            )
-            self.controller.append_write(
-                t,
-                victim.line,
-                bank=victim.bank,
-                row=victim.row,
-                is_counter=True,
-                payload=victim.payload,
-                core=core,
-            )
+            self._append_counter_victim(t, writeback_page, core)
 
         # 3. OTP generation + encryption (AES pipeline latency).
         ciphertext = self._encrypt(line, payload)
         t_enc = t + self._aes_ns
-        if self.tracer.enabled:
+        if self._tracing:
             self.tracer.crypto(t, self._aes_ns, "otp_write", line)
 
         # 4. persist.
@@ -513,149 +454,17 @@ class SecureMemorySystem:
             )
             if self._it_shadow is not None and counter_entry.payload is not None:
                 self._it_shadow.update_leaf(block_key, counter_entry.payload)
-            data_entry = self._data_entry(line, ciphertext)
             if self._atomicity_register:
                 # Figure 7: both staged, both appended as one unit.
-                durable = self.controller.append_pair(
-                    t_ready, data_entry, counter_entry
+                durable = controller.append_pair(
+                    t_ready, self._data_entry(line, ciphertext), counter_entry
                 )
-                self.crash_ctl.probe("after-pair-append")
+                if crash.armed:
+                    crash.probe("after-pair-append")
             else:
                 # Figure 6 (broken baseline): the counter is appended while
                 # the data is still being encrypted — the crash window.
-                self.controller.append_write(
-                    t,
-                    counter_entry.line,
-                    bank=counter_entry.bank,
-                    row=counter_entry.row,
-                    is_counter=True,
-                    payload=counter_entry.payload,
-                    core=core,
-                )
-                self.crash_ctl.probe(
-                    "wt-no-register-gap",
-                    detail=f"counter of line {line:#x} durable, data not",
-                )
-                durable = self.controller.append_write(
-                    t_ready,
-                    data_entry.line,
-                    payload=data_entry.payload,
-                    core=core,
-                )
-                self.crash_ctl.probe("after-data-append")
-        elif self._sca_mode and persistent:
-            # SCA: persistent (clwb-originated) writes carry their counter
-            # into the ADR domain atomically; the cached copy is then
-            # clean. Evictions fall through to the data-only path below.
-            counter_entry = self._counter_entry(
-                line, block_key, payload_wanted=self._functional
-            )
-            data_entry = self._data_entry(line, ciphertext)
-            durable = self.controller.append_pair(t_enc, data_entry, counter_entry)
-            self.counter_cache.mark_clean(block_key)
-            self.stats.inc("secmem", "sca_pairs")
-            self.crash_ctl.probe("after-pair-append")
-        else:
-            # Write-back counter cache: data only; counter stays dirty.
-            durable = self.controller.append_write(
-                t_enc, line, payload=ciphertext, core=core
-            )
-            self.crash_ctl.probe("after-data-append")
-            self._osiris_tick(t_enc, line, block_key, core)
-
-        if self._osiris_stop_loss > 0 and self._functional and payload is not None:
-            # ECC/MAC check bits travel with the line (recovery oracle).
-            self.controller.nvm.set_mac(line, _line_mac(payload))
-
-        return PersistResult(durable_time=durable, reencrypted=reencrypted)
-
-    # ------------------------------------------------------------------
-    # Fast chain (batched replay, tracer disabled, nothing armed)
-    # ------------------------------------------------------------------
-    #
-    # persist_line_fast/read_line_fast are operation-for-operation twins
-    # of persist_line/read_line used by the batched replay loop
-    # (:meth:`repro.sim.engine.CoreEngine.run_batched_replay`) when the
-    # tracer is disabled and no crash point is armed. Under that gate the
-    # only things they skip are unobservable: tracer emissions, crash
-    # probes that cannot fire, the liveness re-check (done once at run
-    # start), the functional read-payload decryption (the replay loop
-    # discards it), and the result-object allocations — both return bare
-    # floats. Every stat bump, queue/bank/counter mutation, and float
-    # operation matches the regular path; tests/sim/test_batch.py
-    # asserts bit-identical results across schemes and fidelities.
-
-    def persist_line_fast(
-        self,
-        t: float,
-        line: int,
-        payload: Optional[bytes] = None,
-        core: int = 0,
-        persistent: bool = True,
-    ) -> float:
-        """:meth:`persist_line` for the fast chain; returns durable time."""
-        self._vals[self._k_data_writes] += 1
-        controller = self.controller
-        amap = self.amap
-
-        if not self._encrypted:
-            return controller.append_write_fast(
-                t,
-                line,
-                amap.bank_of_line(line),
-                amap.row_of_line(line),
-                False,
-                payload,
-                core,
-            )
-
-        block_key, slot, overflowed = self.counters.bump(line)
-        if overflowed:
-            t = self.reencrypt_page(t, amap.page_of_line(line))
-            block_key, slot, overflowed = self.counters.bump(line)
-            if overflowed:  # pragma: no cover - fresh minors cannot saturate
-                raise SimulationError("minor counter overflowed after re-encryption")
-
-        hit, writeback_page, fetch = self.counter_cache.access(
-            block_key, update=True, t=t
-        )
-        if fetch:
-            fetched = self._fetch_counter_line_fast(t, line, block_key)
-            if fetched > t:
-                t = fetched
-        if writeback_page is not None:
-            victim = self._counter_entry(
-                line=writeback_page * self.counters.lines_per_block,
-                block_key=writeback_page,
-                payload_wanted=self._functional,
-            )
-            controller.append_write_fast(
-                t, victim.line, victim.bank, victim.row, True, victim.payload, core
-            )
-
-        ciphertext = self._encrypt(line, payload)
-        t_enc = t + self._aes_ns
-
-        if self._cc_write_through:
-            if self._integrity_tree:
-                t_it = self._tree_update_fast(t, block_key, core)
-                t_ready = t_enc + self._hash_ns
-                if t_it > t_ready:
-                    t_ready = t_it
-                self._vals[self._k_mac_writes] += 1
-            else:
-                t_ready = t_enc
-            counter_entry = self._counter_entry(
-                line, block_key, payload_wanted=self._functional
-            )
-            if self._it_shadow is not None and counter_entry.payload is not None:
-                self._it_shadow.update_leaf(block_key, counter_entry.payload)
-            if self._atomicity_register:
-                durable = controller.append_pair_fast(
-                    t_ready, self._data_entry(line, ciphertext), counter_entry
-                )
-            else:
-                controller.append_write_fast(
+                controller.append_write(
                     t,
                     counter_entry.line,
                     counter_entry.bank,
@@ -664,7 +473,12 @@ class SecureMemorySystem:
                     counter_entry.payload,
                     core,
                 )
-                durable = controller.append_write_fast(
+                if crash.armed:
+                    crash.probe(
+                        "wt-no-register-gap",
+                        detail=f"counter of line {line:#x} durable, data not",
+                    )
+                durable = controller.append_write(
                     t_ready,
                     line,
                     amap.bank_of_line(line),
@@ -673,17 +487,25 @@ class SecureMemorySystem:
                     ciphertext,
                     core,
                 )
+                if crash.armed:
+                    crash.probe("after-data-append")
         elif self._sca_mode and persistent:
+            # SCA: persistent (clwb-originated) writes carry their counter
+            # into the ADR domain atomically; the cached copy is then
+            # clean. Evictions fall through to the data-only path below.
             counter_entry = self._counter_entry(
                 line, block_key, payload_wanted=self._functional
             )
-            durable = controller.append_pair_fast(
+            durable = controller.append_pair(
                 t_enc, self._data_entry(line, ciphertext), counter_entry
             )
             self.counter_cache.mark_clean(block_key)
             self.stats.inc("secmem", "sca_pairs")
+            if crash.armed:
+                crash.probe("after-pair-append")
         else:
-            durable = controller.append_write_fast(
+            # Write-back counter cache: data only; counter stays dirty.
+            durable = controller.append_write(
                 t_enc,
                 line,
                 amap.bank_of_line(line),
@@ -692,67 +514,44 @@ class SecureMemorySystem:
                 ciphertext,
                 core,
             )
+            if crash.armed:
+                crash.probe("after-data-append")
             if self._osiris_stop_loss > 0:
                 self._osiris_tick(t_enc, line, block_key, core)
 
         if self._osiris_stop_loss > 0 and self._functional and payload is not None:
-            self.controller.nvm.set_mac(line, _line_mac(payload))
+            # ECC/MAC check bits travel with the line (recovery oracle).
+            controller.nvm.set_mac(line, _line_mac(payload))
 
         return durable
 
-    def read_line_fast(self, t: float, line: int, core: int = 0) -> float:
-        """:meth:`read_line` for the fast chain; returns the finish time.
-
-        Skips the functional plaintext read — the batched replay loop
-        only consumes the finish time, and
-        :meth:`functional_read_plaintext` is side-effect-free (stats-free
-        NVM peek plus a pure decrypt), so the skip is unobservable.
-        """
-        self._vals[self._k_data_reads] += 1
-        data_finish = self.controller.read_fast(t, line)
-
-        if not self._encrypted:
-            return data_finish
-
-        block_key = self.counters.block_key_of_line(line)
-        hit, writeback_page, fetch = self.counter_cache.access(
-            block_key, update=False, t=t
-        )
+    def persist_line(
+        self,
+        t: float,
+        line: int,
+        payload: Optional[bytes] = None,
+        core: int = 0,
+        persistent: bool = True,
+    ) -> PersistResult:
+        """:meth:`persist_line_fast`, reporting a page re-encryption."""
         vals = self._vals
-        vals[self._k_cc_read_accesses] += 1
-        if hit:
-            vals[self._k_cc_read_hits] += 1
-        if fetch:
-            ctr_ready = self._fetch_counter_line_fast(t, line, block_key)
-            if self._integrity_tree:
-                ctr_ready = self._tree_verify_fast(ctr_ready, block_key, core)
-        else:
-            ctr_ready = t
-        if writeback_page is not None:
-            victim = self._counter_entry(
-                line=writeback_page * self.counters.lines_per_block,
-                block_key=writeback_page,
-                payload_wanted=self._functional,
-            )
-            self.controller.append_write_fast(
-                t, victim.line, victim.bank, victim.row, True, victim.payload, core
-            )
-
-        pad_ready = ctr_ready + self._aes_ns
-        finish = data_finish if data_finish > pad_ready else pad_ready
-        if self._integrity_tree:
-            finish += self._hash_ns
-            vals[self._k_mac_verifies] += 1
-        return finish
-
-    def _fetch_counter_line_fast(self, t: float, line: int, block_key: int) -> float:
-        """:meth:`_fetch_counter_line` minus the tracer emission."""
-        placement = self.layout.placement(block_key, self.amap.bank_of_line(line))
-        finish = self.controller.read_fast(
-            t, placement.line, bank=placement.bank, row=placement.row
+        reencryptions = vals.get(self._k_reencryptions, 0)
+        durable = self.persist_line_fast(t, line, payload, core, persistent)
+        return PersistResult(
+            durable_time=durable,
+            reencrypted=vals.get(self._k_reencryptions, 0) != reencryptions,
         )
-        self.stats.inc("secmem", "counter_fetches")
-        return finish
+
+    def _append_counter_victim(self, t: float, page: int, core: int) -> None:
+        """Append the counter line of ``page`` as it leaves the counter cache dirty."""
+        victim = self._counter_entry(
+            line=page * self.counters.lines_per_block,
+            block_key=page,
+            payload_wanted=self._functional,
+        )
+        self.controller.append_write(
+            t, victim.line, victim.bank, victim.row, True, victim.payload, core
+        )
 
     def _osiris_tick(self, t: float, line: int, block_key: int, core: int) -> None:
         """Osiris stop-loss: persist the counter line every N-th update."""
@@ -782,21 +581,16 @@ class SecureMemorySystem:
     # Read path (LLC misses)
     # ------------------------------------------------------------------
 
-    def read_line(self, t: float, line: int, core: int = 0) -> ReadLineResult:
-        """Service an LLC-miss read."""
-        self._check_alive()
-        self._vals[self._k_data_reads] += 1
-        data_result = self.controller.read(t, line)
+    def read_line_fast(self, t: float, line: int, core: int = 0) -> float:
+        """Service an LLC-miss read; returns the finish time."""
+        if self._dead:
+            raise SimulationError("memory system used after crash()")
+        vals = self._vals
+        vals[self._k_data_reads] += 1
+        data_finish = self.controller.read_fast(t, line)
 
         if not self._encrypted:
-            payload = (
-                self.controller.read_payload(line) if self._functional else None
-            )
-            return ReadLineResult(
-                finish_time=data_result.finish_time,
-                payload=payload,
-                counter_cache_hit=True,
-            )
+            return data_finish
 
         block_key = self.counters.block_key_of_line(line)
         hit, writeback_page, fetch = self.counter_cache.access(
@@ -805,7 +599,6 @@ class SecureMemorySystem:
         # Read-path hit rate tracked separately: these are the hits that
         # decide whether OTP generation overlaps the data fetch (Fig. 2b),
         # i.e. the hit rate Figure 17a is about.
-        vals = self._vals
         vals[self._k_cc_read_accesses] += 1
         if hit:
             vals[self._k_cc_read_hits] += 1
@@ -820,35 +613,30 @@ class SecureMemorySystem:
         else:
             ctr_ready = t
         if writeback_page is not None:
-            victim = self._counter_entry(
-                line=writeback_page * self.counters.lines_per_block,
-                block_key=writeback_page,
-                payload_wanted=self._functional,
-            )
-            self.controller.append_write(
-                t,
-                victim.line,
-                bank=victim.bank,
-                row=victim.row,
-                is_counter=True,
-                payload=victim.payload,
-                core=core,
-            )
+            self._append_counter_victim(t, writeback_page, core)
 
         pad_ready = ctr_ready + self._aes_ns
-        if self.tracer.enabled:
+        if self._tracing:
             self.tracer.crypto(ctr_ready, self._aes_ns, "otp_read", line)
-        finish = max(data_result.finish_time, pad_ready)
+        finish = data_finish if data_finish > pad_ready else pad_ready
         if self._integrity_tree:
             # Line-MAC check over the fetched ciphertext.
             finish += self._hash_ns
             vals[self._k_mac_verifies] += 1
+        return finish
 
-        payload = None
-        if self._functional:
-            payload = self.functional_read_plaintext(line)
+    def read_line(self, t: float, line: int, core: int = 0) -> ReadLineResult:
+        """:meth:`read_line_fast`, plus the plaintext in functional mode and
+        whether the counter cache hit."""
+        vals = self._vals
+        hits = vals.get(self._k_cc_read_hits, 0)
+        finish = self.read_line_fast(t, line, core)
         return ReadLineResult(
-            finish_time=finish, payload=payload, counter_cache_hit=hit
+            finish_time=finish,
+            payload=self.functional_read_plaintext(line) if self._functional else None,
+            counter_cache_hit=(
+                not self._encrypted or vals.get(self._k_cc_read_hits, 0) != hits
+            ),
         )
 
     def functional_read_plaintext(self, line: int) -> bytes:
@@ -885,15 +673,14 @@ class SecureMemorySystem:
         lines = self.amap.lines_of_page(page)
         if self.config.functional and self.cipher is not None:
             for slot, line in enumerate(lines):
-                plaintexts[slot] = self._plaintext_under_current_counter(line)
+                plaintexts[slot] = self.functional_read_plaintext(line)
 
         old_major = block.start_reencryption()
         self.rsr = RSRRecord(page=page, old_major=old_major)
 
         for slot, line in enumerate(lines):
             # read the old ciphertext (bank read)...
-            result = self.controller.read(t, line)
-            t = result.finish_time
+            t = self.controller.read_fast(t, line)
             # ...reset this line's minor and re-encrypt under the fresh
             # counter; pending slots keep their old minors so a crash here
             # stays recoverable via the RSR.
@@ -906,7 +693,7 @@ class SecureMemorySystem:
                         line, block.encryption_counter(slot), plaintext
                     )
             t_enc = t + self.config.timing.aes_ns
-            if self.tracer.enabled:
+            if self._tracing:
                 self.tracer.crypto(t, self.config.timing.aes_ns, "otp_write", line)
             if self._integrity_tree:
                 # Counter mutated — the tree path must absorb it (the
@@ -938,18 +725,6 @@ class SecureMemorySystem:
             self.counter_cache.access(page, update=True, t=t)
         self.rsr = None
         return t
-
-    def _plaintext_under_current_counter(self, line: int) -> Optional[bytes]:
-        """Plaintext of ``line`` decrypted with its pre-re-encryption counter."""
-        entry = self.controller.wq.find_line(line)
-        if entry is None and not self.controller.nvm.contains(line):
-            return ZERO_LINE
-        ciphertext = self.controller.read_payload(line)
-        if self.cipher is None:
-            return ciphertext
-        return self.cipher.decrypt(
-            line, self.counters.counter_of_line(line), ciphertext
-        )
 
     # ------------------------------------------------------------------
     # Crash / shutdown
@@ -996,19 +771,7 @@ class SecureMemorySystem:
         """Clean shutdown: drain dirty counters and the queue, then image."""
         self._check_alive()
         for page in self.counter_cache.drain_dirty():
-            entry = self._counter_entry(
-                line=page * self.counters.lines_per_block,
-                block_key=page,
-                payload_wanted=self.config.functional,
-            )
-            self.controller.append_write(
-                self.controller.clock,
-                entry.line,
-                bank=entry.bank,
-                row=entry.row,
-                is_counter=True,
-                payload=entry.payload,
-            )
+            self._append_counter_victim(self.controller.clock, page, 0)
         if self.tree_cache is not None and self._tree_geom is not None:
             for node in self.tree_cache.drain_dirty():
                 wline, wbank, wrow = self._tree_geom.placement(
@@ -1052,18 +815,6 @@ class SecureMemorySystem:
         self._check_alive()
         dirty = self.counter_cache.drain_dirty()
         for page in dirty:
-            entry = self._counter_entry(
-                line=page * self.counters.lines_per_block,
-                block_key=page,
-                payload_wanted=self.config.functional,
-            )
-            self.controller.append_write(
-                self.controller.clock,
-                entry.line,
-                bank=entry.bank,
-                row=entry.row,
-                is_counter=True,
-                payload=entry.payload,
-            )
+            self._append_counter_victim(self.controller.clock, page, 0)
         self.controller.drain_all()
         return len(dirty)

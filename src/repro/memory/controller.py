@@ -8,9 +8,10 @@ exposes exactly the operations the secure-memory layer needs:
   ADR-protected write queue, stalling the caller when the queue is full.
   A line is **durable once appended** (ADR semantics, Section 2.1), so the
   returned append time is the persistence time a transaction waits on.
-* :meth:`read` — service a demand read with read priority: reads bypass
-  queued writes (but not a write already occupying the bank) and are
-  forwarded straight from the write queue on an address match.
+* :meth:`read_fast` — service a demand read with read priority: reads
+  bypass queued writes (but not a write already occupying the bank) and
+  are forwarded straight from the write queue on an address match;
+  :meth:`read` is the same read returning a :class:`ReadResult`.
 * :meth:`advance_to` — lazily simulate the background drain up to a given
   time: the scheduler repeatedly issues the queued write with the earliest
   feasible start (bank free, bus free), FIFO-tie-broken, which is
@@ -19,6 +20,12 @@ exposes exactly the operations the secure-memory layer needs:
 The whole paper plays out in this object's queueing behaviour: doubling
 appends (write-through counters) doubles queue pressure; CWC removes
 counter appends; XBank changes which bank each counter write occupies.
+
+Every request path has one body, returning bare floats and allocating
+nothing but the queue entry. Tracer emissions and gauge sampling sit
+behind one flag taken from ``tracer.enabled`` at construction, so an
+untraced run pays a single attribute test per site and a traced run
+executes the very code that produces the figures.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ class ReadResult:
     finish_time: float
     #: "wq" when forwarded from the write queue, else "bank".
     source: str
-    row_hit: bool = False
 
 
 class MemoryController:
@@ -61,6 +67,7 @@ class MemoryController:
         self.timing = config.timing
         self._stats = stats
         self._tracer = tracer
+        self._tracing = tracer.enabled
         self.nvm = nvm if nvm is not None else NVMStore(stats)
         self.rank = RankState(config.timing, enforce=config.memory.enforce_tfaw)
         self.banks: List[Bank] = [
@@ -344,7 +351,7 @@ class MemoryController:
         self.bus_free_at[bank // self._banks_per_channel] = start + self._bus_ns
         end = self.banks[bank].service_write(start)
         self.nvm.write_line(entry.line, entry.payload)
-        if self._tracer.enabled:
+        if self._tracing:
             self._tracer.wq_issue(
                 start, entry.line, bank, entry.is_counter, len(self.wq)
             )
@@ -373,28 +380,41 @@ class MemoryController:
             self._stats.inc("wq", "data_issued")
         return end
 
-    def _drain_engaged(self) -> bool:
-        """Hysteresis: engage at the high watermark, release at the low."""
-        occupancy = len(self.wq)
-        if self._draining:
-            if occupancy <= self.low_watermark:
-                self._draining = False
-        elif occupancy >= self.high_watermark:
-            self._draining = True
-        return self._draining
-
     def advance_to(self, t: float) -> None:
         """Simulate the background drain up to time ``t``.
 
-        The loop is :meth:`_drain_engaged` unrolled inline (identical
-        hysteresis semantics, state written back on exit) — this runs
-        once per persisted line, before the scheduler has even decided
-        whether anything can issue.
+        The drain has hysteresis: it engages when the queue reaches the
+        high watermark and releases at the low one. This runs once per
+        request, so two common cases skip the loop, which would change
+        nothing but the clock in them:
+
+        * the drain is disengaged and the queue is below the high
+          watermark (the loop breaks on its first iteration);
+        * the drain is engaged, the queue is above the low watermark, and
+          the memoized candidate (still valid: version match, clock not
+          past it) cannot start by ``t`` (the loop probes once and breaks).
         """
         wq = self.wq
         low = self.low_watermark
         high = self.high_watermark
         draining = self._draining
+        if not draining:
+            if len(wq) < high:
+                if t > self.clock:
+                    self.clock = t
+                return
+        else:
+            cached = self._cand_cache
+            if (
+                cached is not None
+                and cached[1] > t
+                and cached[0] == wq.version
+                and self.clock <= cached[1]
+                and len(wq) > low
+            ):
+                if t > self.clock:
+                    self.clock = t
+                return
         best_candidate = self._best_candidate
         issue = self._issue
         while True:
@@ -441,8 +461,11 @@ class MemoryController:
 
     def _make_space(self, t: float, slots: int, core: int = 0) -> float:
         """Drain until ``slots`` queue slots are free; returns stall end."""
+        wq = self.wq
+        if wq.has_space(slots):
+            return t
         append_time = t
-        while not self.wq.has_space(slots):
+        while not wq.has_space(slots):
             candidate = self._best_candidate()
             if candidate is None:  # pragma: no cover - full queue has entries
                 raise SimulationError("full write queue with no candidate")
@@ -450,11 +473,12 @@ class MemoryController:
             self._issue(entry, start)
             if start > self.clock:
                 self.clock = start
-            append_time = max(append_time, start)
+            if start > append_time:
+                append_time = start
         if append_time > t:
             self._vals[self._k_full_stalls] += 1
             self._vals[self._k_stall_ns] += append_time - t
-            if self._tracer.enabled:
+            if self._tracing:
                 self._tracer.wq_stall(t, append_time - t, core)
         return append_time
 
@@ -474,22 +498,28 @@ class MemoryController:
         writes pass their explicit placement from the layout.
         """
         self.advance_to(t)
-        self._tracer.sample_tick(t)
-        slots = 0 if (is_counter and self.wq.would_coalesce(line)) else 1
-        append_time = self._make_space(t, slots, core=core) if slots else t
-        entry = WQEntry(
-            line=line,
-            bank=self.amap.bank_of_line(line) if bank is None else bank,
-            row=self.amap.row_of_line(line) if row is None else row,
-            is_counter=is_counter,
-            enq_time=append_time,
-            payload=payload,
-            core=core,
+        if self._tracing:
+            self._tracer.sample_tick(t)
+        wq = self.wq
+        slots = 0 if (is_counter and wq.would_coalesce(line)) else 1
+        append_time = self._make_space(t, slots, core) if slots else t
+        wq.append(
+            WQEntry(
+                line=line,
+                bank=self.amap.bank_of_line(line) if bank is None else bank,
+                row=self.amap.row_of_line(line) if row is None else row,
+                is_counter=is_counter,
+                enq_time=append_time,
+                payload=payload,
+                core=core,
+            )
         )
-        self.wq.append(entry)
-        if self._tracer.enabled:
-            self._tracer.wq_append(append_time, line, is_counter, len(self.wq))
+        if self._tracing:
+            self._tracer.wq_append(append_time, line, is_counter, len(wq))
         return append_time
+
+    # perfbench/layers.py times this name; one body serves both.
+    append_write_fast = append_write
 
     def append_pair(
         self,
@@ -504,144 +534,11 @@ class MemoryController:
         invariant of Section 3.2. Returns the append time.
         """
         self.advance_to(t)
-        self._tracer.sample_tick(t)
+        if self._tracing:
+            self._tracer.sample_tick(t)
         # Re-evaluate coalescibility every time we drain: issuing entries
         # to make space can consume the very counter entry the new counter
         # write would have coalesced with.
-        append_time = t
-        while True:
-            coalesces = self.wq.would_coalesce(counter.line)
-            if self.wq.has_space(1 if coalesces else 2):
-                break
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - full queue has entries
-                raise SimulationError("full write queue with no candidate")
-            start, entry = candidate
-            self._issue(entry, start)
-            if start > self.clock:
-                self.clock = start
-            append_time = max(append_time, start)
-        if append_time > t:
-            self._vals[self._k_full_stalls] += 1
-            self._vals[self._k_stall_ns] += append_time - t
-            if self._tracer.enabled:
-                self._tracer.wq_stall(t, append_time - t, data.core)
-        data.enq_time = append_time
-        counter.enq_time = append_time
-        if coalesces:
-            # Counter first: its append frees the slot the data needs.
-            self.wq.append(counter)
-            self.wq.append(data)
-        else:
-            self.wq.append(data)
-            self.wq.append(counter)
-        if self._tracer.enabled:
-            occupancy = len(self.wq)
-            self._tracer.wq_append(append_time, data.line, False, occupancy)
-            self._tracer.wq_append(append_time, counter.line, True, occupancy)
-        self._vals[self._k_pair_appends] += 1
-        return append_time
-
-    # ------------------------------------------------------------------
-    # Fast chain (batched replay, tracer disabled, nothing armed)
-    # ------------------------------------------------------------------
-    #
-    # Allocation-free twins of append_write/append_pair/read used by
-    # :meth:`repro.sim.engine.CoreEngine.run_batched_replay` through
-    # :class:`~repro.core.system.SecureMemorySystem`'s fast persist/read.
-    # They skip exactly the operations that are unobservable when the
-    # tracer is disabled (``sample_tick``, ``wq_append``/``wq_stall``
-    # emissions) and return bare floats instead of result objects.
-    # Every queue/bank/stat mutation is identical to the regular methods
-    # — differential-tested bit-for-bit by tests/sim/test_batch.py.
-
-    def _advance_fast(self, t: float) -> None:
-        """:meth:`advance_to` with the common no-drain case inlined.
-
-        When the drain is disengaged and the queue is below the high
-        watermark, :meth:`advance_to`'s loop breaks on its first
-        iteration having changed nothing but the clock — so do just
-        that without the call and loop setup. Likewise when the drain
-        *is* engaged but the memoized candidate (still valid: version
-        match, clock not past it) cannot start by ``t`` and the queue is
-        above the low watermark: advance_to would probe once and break
-        with no state change beyond the clock.
-        """
-        if not self._draining and len(self.wq) < self.high_watermark:
-            if t > self.clock:
-                self.clock = t
-            return
-        cached = self._cand_cache
-        if (
-            self._draining
-            and cached is not None
-            and cached[1] > t
-            and cached[0] == self.wq.version
-            and self.clock <= cached[1]
-            and len(self.wq) > self.low_watermark
-        ):
-            if t > self.clock:
-                self.clock = t
-            return
-        self.advance_to(t)
-
-    def append_write_fast(
-        self,
-        t: float,
-        line: int,
-        bank: int,
-        row: int,
-        is_counter: bool,
-        payload: Optional[bytes],
-        core: int,
-    ) -> float:
-        """:meth:`append_write` minus tracer probes; returns append time.
-
-        ``bank``/``row`` are required (the callers always have them),
-        saving the per-call None checks.
-        """
-        self._advance_fast(t)
-        slots = 0 if (is_counter and self.wq.would_coalesce(line)) else 1
-        append_time = self._make_space_fast(t, slots, core) if slots else t
-        self.wq.append(
-            WQEntry(
-                line=line,
-                bank=bank,
-                row=row,
-                is_counter=is_counter,
-                enq_time=append_time,
-                payload=payload,
-                core=core,
-            )
-        )
-        return append_time
-
-    def _make_space_fast(self, t: float, slots: int, core: int) -> float:
-        """:meth:`_make_space` minus the tracer stall emission."""
-        wq = self.wq
-        if wq.has_space(slots):
-            return t
-        append_time = t
-        while not wq.has_space(slots):
-            candidate = self._best_candidate()
-            if candidate is None:  # pragma: no cover - full queue has entries
-                raise SimulationError("full write queue with no candidate")
-            start, entry = candidate
-            self._issue(entry, start)
-            if start > self.clock:
-                self.clock = start
-            if start > append_time:
-                append_time = start
-        if append_time > t:
-            self._vals[self._k_full_stalls] += 1
-            self._vals[self._k_stall_ns] += append_time - t
-        return append_time
-
-    def append_pair_fast(
-        self, t: float, data: WQEntry, counter: WQEntry
-    ) -> float:
-        """:meth:`append_pair` minus tracer probes; returns append time."""
-        self._advance_fast(t)
         wq = self.wq
         append_time = t
         while True:
@@ -660,16 +557,30 @@ class MemoryController:
         if append_time > t:
             self._vals[self._k_full_stalls] += 1
             self._vals[self._k_stall_ns] += append_time - t
+            if self._tracing:
+                self._tracer.wq_stall(t, append_time - t, data.core)
         data.enq_time = append_time
         counter.enq_time = append_time
         if coalesces:
+            # Counter first: its append frees the slot the data needs.
             wq.append(counter)
             wq.append(data)
         else:
             wq.append(data)
             wq.append(counter)
+        if self._tracing:
+            occupancy = len(wq)
+            self._tracer.wq_append(append_time, data.line, False, occupancy)
+            self._tracer.wq_append(append_time, counter.line, True, occupancy)
         self._vals[self._k_pair_appends] += 1
         return append_time
+
+    # perfbench/layers.py times this name; one body serves both.
+    append_pair_fast = append_pair
+
+    # ------------------------------------------------------------------
+    # Read path
+    # ------------------------------------------------------------------
 
     def read_fast(
         self,
@@ -678,10 +589,13 @@ class MemoryController:
         bank: Optional[int] = None,
         row: Optional[int] = None,
     ) -> float:
-        """:meth:`read` minus tracer probes; returns the finish time."""
-        self._advance_fast(t)
+        """Service a demand read at time ``t``; returns the finish time."""
+        self.advance_to(t)
+        if self._tracing:
+            self._tracer.sample_tick(t)
+        vals = self._vals
         if self.wq.find_line(line) is not None:
-            self._vals[self._k_read_forwards] += 1
+            vals[self._k_read_forwards] += 1
             return t + self._bus_ns
         bank_index = self.amap.bank_of_line(line) if bank is None else bank
         row_id = self.amap.row_of_line(line) if row is None else row
@@ -691,13 +605,11 @@ class MemoryController:
             start = t
         self.bus_free_at[channel] = start + self._bus_ns
         end, _ = self.banks[bank_index].service_read(start, row_id)
+        # The read moved bank/bus availability without touching the
+        # queue, so the memoized candidate scan no longer holds.
         self._cand_cache = None
-        self._vals[self._k_mc_reads] += 1
+        vals[self._k_mc_reads] += 1
         return end
-
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
 
     def read(
         self,
@@ -706,23 +618,12 @@ class MemoryController:
         bank: Optional[int] = None,
         row: Optional[int] = None,
     ) -> ReadResult:
-        """Service a demand read at time ``t``."""
-        self.advance_to(t)
-        self._tracer.sample_tick(t)
-        if self.wq.find_line(line) is not None:
-            self._vals[self._k_read_forwards] += 1
-            return ReadResult(finish_time=t + self._bus_ns, source="wq")
-        bank_index = self.amap.bank_of_line(line) if bank is None else bank
-        row_id = self.amap.row_of_line(line) if row is None else row
-        channel = bank_index // self._banks_per_channel
-        start = max(t, self.bus_free_at[channel])
-        self.bus_free_at[channel] = start + self._bus_ns
-        end, hit = self.banks[bank_index].service_read(start, row_id)
-        # The read moved bank/bus availability without touching the
-        # queue, so the memoized candidate scan no longer holds.
-        self._cand_cache = None
-        self._vals[self._k_mc_reads] += 1
-        return ReadResult(finish_time=end, source="bank", row_hit=hit)
+        """:meth:`read_fast`, reporting where the line came from."""
+        vals = self._vals
+        forwards = vals.get(self._k_read_forwards, 0)
+        finish = self.read_fast(t, line, bank, row)
+        forwarded = vals.get(self._k_read_forwards, 0) != forwards
+        return ReadResult(finish_time=finish, source="wq" if forwarded else "bank")
 
     def read_payload(self, line: int) -> bytes:
         """Functional read: current durable-or-queued image of ``line``.

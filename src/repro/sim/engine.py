@@ -14,6 +14,15 @@ SecureMemorySystem`:
   write-queue stalls — the paper's central bottleneck — surface;
 * **sfence** adds the fence cost (appends are already ordered here);
 * **txn markers** delimit per-transaction latency measurement.
+
+Two loops drive a core. :meth:`CoreEngine.step` executes one op at a
+time; the multi-programmed kernel interleaves cores through it, and
+``_step_ref`` is its reference oracle (``hot_path=False``). The batched
+loop, :meth:`CoreEngine.run_batched_replay`, drives the memory system
+from a hierarchy-outcome segment over pre-decoded op arrays. Recording
+(:meth:`CoreEngine.run_batched_record`) is a hierarchy-only walk that
+produces such a segment and then replays it, and
+:meth:`CoreEngine.run_batched` is a recording nobody keeps.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from repro.sim.batch import (
     BK_MEM_MISS_WB,
     BK_TXN_BEGIN,
     BK_TXN_END,
+    OutcomeSegment,
 )
 from repro.txn.persist import (
     OP_CLWB,
@@ -49,6 +59,14 @@ from repro.txn.persist import (
     OP_TXN_END,
     TraceOp,
 )
+
+#: Outcome codes of the ops that never touch the cache hierarchy.
+_OTHER_OUTCOME = {
+    OP_FENCE: BK_FENCE,
+    OP_TXN_BEGIN: BK_TXN_BEGIN,
+    OP_TXN_END: BK_TXN_END,
+    OP_COMPUTE: BK_COMPUTE,
+}
 
 
 class CoreEngine:
@@ -213,196 +231,51 @@ class CoreEngine:
 
     def run_batched(self, arrays, chunk: int = 1024) -> None:
         """Replay pre-decoded :class:`~repro.sim.batch.TraceArrays` in
-        chunks of ``chunk`` ops.
+        chunks of ``chunk`` ops: a recording nobody keeps."""
+        self.run_batched_record(arrays, chunk)
 
-        The inner loop is the fast :meth:`step` with everything per-op
-        hoisted: no method dispatch, no tuple indexing, no ``self.clock``
-        attribute traffic (the clock lives in a local and is published at
-        chunk boundaries), no per-op tracer/measuring re-reads. The
-        arithmetic sequence matches :meth:`step` operation for operation
-        — :meth:`step` never *reads* ``self.clock`` mid-op and the memory
-        system takes the clock as an argument — so results are
-        bit-identical for every chunk size (``tests/sim/test_batch.py``).
+    def run_batched_record(self, arrays, chunk: int = 1024) -> OutcomeSegment:
+        """Replay ``arrays``, returning the hierarchy outcomes it walked.
+
+        The cache hierarchy is walked over the whole segment first, one
+        resolved ``BK_*`` code and SRAM latency per op plus the sparse
+        write-back victims, and the result drives
+        :meth:`run_batched_replay`. Walking ahead is exact: the hierarchy
+        reads no memory timing and emits no tracer events, so every
+        memory request, stat and event happens at the clock and in the
+        order of an interleaved walk. The returned segment replays these
+        arrays under any scheme with the same cache geometry.
         """
         if chunk < 1:
             raise SimulationError(f"chunk must be >= 1, got {chunk}")
         kinds = arrays.kinds
         args = arrays.args
-        payloads = arrays.payloads
         n = arrays.n
         access = self.hierarchy.access
         clwb = self.hierarchy.clwb
-        read_line = self.system.read_line
-        persist = self.system.persist_line
-        core = self.core_id
-        cpu_op_ns = self._cpu_op_ns
-        clwb_issue_ns = self._clwb_issue_ns
-        sfence_ns = self._sfence_ns
-        txn_latencies = self.txn_latencies
-        tracer = self.tracer
-        tracer_enabled = tracer.enabled
-        measuring = self._measuring
         store_k = OP_STORE
         clwb_k = OP_CLWB
-        fence_k = OP_FENCE
-        begin_k = OP_TXN_BEGIN
-        end_k = OP_TXN_END
-        clock = self.clock
-        txn_start = self._txn_start
-        start = 0
-        while start < n:
-            stop = start + chunk
-            if stop > n:
-                stop = n
-            for i in range(start, stop):
-                kind = kinds[i]
-                if kind <= store_k:  # OP_LOAD or OP_STORE
-                    clock += cpu_op_ns
-                    line = args[i]
-                    hit_level, latency, writebacks = access(line, kind == store_k)
-                    clock += latency
-                    if hit_level is None:
-                        clock = read_line(clock, line, core=core).finish_time
-                    if writebacks:
-                        for victim in writebacks:
-                            persist(clock, victim, core=core, persistent=False)
-                elif kind == clwb_k:
-                    clock += clwb_issue_ns
-                    line = args[i]
-                    if clwb(line):
-                        result = persist(
-                            clock,
-                            line,
-                            payload=None if payloads is None else payloads[i],
-                            core=core,
-                        )
-                        if result.durable_time > clock:
-                            clock = result.durable_time
-                elif kind == fence_k:
-                    clock += sfence_ns
-                elif kind == begin_k:
-                    txn_start = clock
-                elif kind == end_k:
-                    if txn_start is not None:
-                        if measuring:
-                            txn_latencies.append(clock - txn_start)
-                        if tracer_enabled:
-                            tracer.txn(txn_start, clock, core)
-                    txn_start = None
-                else:  # OP_COMPUTE (build_arrays rejects anything else)
-                    clock += args[i]
-            self.clock = clock
-            start = stop
-        self.clock = clock
-        self._txn_start = txn_start
-
-    def run_batched_record(
-        self, arrays, rec_kinds, rec_lats, rec_wbs, chunk: int = 1024
-    ) -> None:
-        """:meth:`run_batched`, additionally recording hierarchy outcomes.
-
-        Appends one resolved ``BK_*`` code to ``rec_kinds`` (a
-        ``bytearray``) and one SRAM latency to ``rec_lats`` per op, and
-        stores write-back victim tuples sparsely in ``rec_wbs`` (op index
-        -> tuple). The recording is pure observation: the call sequence
-        and arithmetic are exactly :meth:`run_batched`'s, so a recording
-        run is bit-identical to a plain one, and the recorded stream
-        drives :meth:`run_batched_replay` for later runs of the same
-        (trace, cache geometry).
-        """
-        if chunk < 1:
-            raise SimulationError(f"chunk must be >= 1, got {chunk}")
-        kinds = arrays.kinds
-        args = arrays.args
-        payloads = arrays.payloads
-        n = arrays.n
-        access = self.hierarchy.access
-        clwb = self.hierarchy.clwb
-        read_line = self.system.read_line
-        persist = self.system.persist_line
-        core = self.core_id
-        cpu_op_ns = self._cpu_op_ns
-        clwb_issue_ns = self._clwb_issue_ns
-        sfence_ns = self._sfence_ns
-        txn_latencies = self.txn_latencies
-        tracer = self.tracer
-        tracer_enabled = tracer.enabled
-        measuring = self._measuring
-        store_k = OP_STORE
-        clwb_k = OP_CLWB
-        fence_k = OP_FENCE
-        begin_k = OP_TXN_BEGIN
-        end_k = OP_TXN_END
-        kinds_append = rec_kinds.append
-        lats_append = rec_lats.append
-        base = len(rec_kinds)
-        clock = self.clock
-        txn_start = self._txn_start
-        start = 0
-        while start < n:
-            stop = start + chunk
-            if stop > n:
-                stop = n
-            for i in range(start, stop):
-                kind = kinds[i]
-                if kind <= store_k:  # OP_LOAD or OP_STORE
-                    clock += cpu_op_ns
-                    line = args[i]
-                    hit_level, latency, writebacks = access(line, kind == store_k)
-                    clock += latency
-                    lats_append(latency)
-                    if hit_level is None:
-                        clock = read_line(clock, line, core=core).finish_time
-                        code = BK_MEM_MISS
-                    else:
-                        code = BK_MEM_HIT
-                    if writebacks:
-                        rec_wbs[base + i] = tuple(writebacks)
-                        code = BK_MEM_MISS_WB if code == BK_MEM_MISS else BK_MEM_HIT_WB
-                        for victim in writebacks:
-                            persist(clock, victim, core=core, persistent=False)
-                    kinds_append(code)
-                elif kind == clwb_k:
-                    clock += clwb_issue_ns
-                    line = args[i]
-                    lats_append(0.0)
-                    if clwb(line):
-                        kinds_append(BK_CLWB_DIRTY)
-                        result = persist(
-                            clock,
-                            line,
-                            payload=None if payloads is None else payloads[i],
-                            core=core,
-                        )
-                        if result.durable_time > clock:
-                            clock = result.durable_time
-                    else:
-                        kinds_append(BK_CLWB_CLEAN)
-                elif kind == fence_k:
-                    clock += sfence_ns
-                    kinds_append(BK_FENCE)
-                    lats_append(0.0)
-                elif kind == begin_k:
-                    txn_start = clock
-                    kinds_append(BK_TXN_BEGIN)
-                    lats_append(0.0)
-                elif kind == end_k:
-                    if txn_start is not None:
-                        if measuring:
-                            txn_latencies.append(clock - txn_start)
-                        if tracer_enabled:
-                            tracer.txn(txn_start, clock, core)
-                    txn_start = None
-                    kinds_append(BK_TXN_END)
-                    lats_append(0.0)
-                else:  # OP_COMPUTE (build_arrays rejects anything else)
-                    clock += args[i]
-                    kinds_append(BK_COMPUTE)
-                    lats_append(0.0)
-            self.clock = clock
-            start = stop
-        self.clock = clock
-        self._txn_start = txn_start
+        other = _OTHER_OUTCOME
+        codes = bytearray(n)  # zero-filled: BK_MEM_HIT
+        lats = [0.0] * n
+        wbs = {}
+        for i in range(n):
+            kind = kinds[i]
+            if kind <= store_k:  # OP_LOAD or OP_STORE
+                hit_level, latency, writebacks = access(args[i], kind == store_k)
+                lats[i] = latency
+                if writebacks:
+                    wbs[i] = tuple(writebacks)
+                    codes[i] = BK_MEM_MISS_WB if hit_level is None else BK_MEM_HIT_WB
+                elif hit_level is None:
+                    codes[i] = BK_MEM_MISS
+            elif kind == clwb_k:
+                codes[i] = BK_CLWB_DIRTY if clwb(args[i]) else BK_CLWB_CLEAN
+            else:  # build_arrays rejects anything else
+                codes[i] = other[kind]
+        segment = OutcomeSegment(bytes(codes), lats, wbs)
+        self.run_batched_replay(arrays, segment, chunk)
+        return segment
 
     def run_batched_replay(self, arrays, segment, chunk: int = 1024) -> None:
         """Replay a recorded hierarchy-outcome ``segment`` over ``arrays``.
@@ -411,17 +284,17 @@ class CoreEngine:
         latency, and write-back victims come from the recording, so an
         SRAM-hit load/store costs two float adds and nothing else. Memory
         traffic (misses, dirty clwbs, write-backs) is driven at exactly
-        the clocks and in exactly the order the recording run drove it,
-        and the recorded cache-stat delta is applied by the caller
+        the clocks and in exactly the order of a walked run, and the
+        recorded cache-stat delta is applied by the caller
         (:meth:`repro.sim.simulator.Simulator.run`) — so results are
         bit-identical to a walked run.
 
-        When the tracer is disabled and no crash point is armed, memory
-        traffic goes through the allocation-free fast chain
-        (:meth:`~repro.core.system.SecureMemorySystem.read_line_fast` /
-        ``persist_line_fast``), which skips per-op tracer probes, crash
-        probes and result-object construction — all unobservable in that
-        configuration.
+        This is the one op loop of every batched run: everything per-op
+        is hoisted (no method dispatch, no tuple indexing, the clock in a
+        local published at chunk boundaries), memory traffic goes through
+        the float-returning bodies of
+        :class:`~repro.core.system.SecureMemorySystem`, and results are
+        bit-identical for every chunk size (``tests/sim/test_batch.py``).
         """
         if chunk < 1:
             raise SimulationError(f"chunk must be >= 1, got {chunk}")
@@ -444,111 +317,62 @@ class CoreEngine:
         tracer = self.tracer
         tracer_enabled = tracer.enabled
         measuring = self._measuring
-        system = self.system
-        fast = (
-            not tracer_enabled
-            and tracer.sampler is None
-            and not system.crash_ctl.armed
-        )
+        read_line = self.system.read_line_fast
+        persist = self.system.persist_line_fast
         clock = self.clock
         txn_start = self._txn_start
         start = 0
-        if fast:
-            read_fast = system.read_line_fast
-            persist_fast = system.persist_line_fast
-            while start < n:
-                stop = start + chunk
-                if stop > n:
-                    stop = n
-                for i in range(start, stop):
-                    kind = bkinds[i]
-                    if kind == BK_MEM_HIT:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                    elif kind == BK_CLWB_DIRTY:
-                        clock += clwb_issue_ns
-                        durable = persist_fast(
-                            clock,
-                            args[i],
-                            None if payloads is None else payloads[i],
-                            core,
-                        )
-                        if durable > clock:
-                            clock = durable
-                    elif kind == BK_MEM_MISS:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        clock = read_fast(clock, args[i], core)
-                    elif kind == BK_FENCE:
-                        clock += sfence_ns
-                    elif kind == BK_TXN_BEGIN:
-                        txn_start = clock
-                    elif kind == BK_TXN_END:
-                        if txn_start is not None and measuring:
+        while start < n:
+            stop = start + chunk
+            if stop > n:
+                stop = n
+            for i in range(start, stop):
+                kind = bkinds[i]
+                if kind == BK_MEM_HIT:
+                    clock += cpu_op_ns
+                    clock += lats[i]
+                elif kind == BK_CLWB_DIRTY:
+                    clock += clwb_issue_ns
+                    durable = persist(
+                        clock,
+                        args[i],
+                        None if payloads is None else payloads[i],
+                        core,
+                    )
+                    # Durability is append time (ADR); the core resumes
+                    # once the line is accepted into the write queue.
+                    if durable > clock:
+                        clock = durable
+                elif kind == BK_MEM_MISS:
+                    clock += cpu_op_ns
+                    clock += lats[i]
+                    clock = read_line(clock, args[i], core)
+                elif kind == BK_FENCE:
+                    clock += sfence_ns
+                elif kind == BK_TXN_BEGIN:
+                    txn_start = clock
+                elif kind == BK_TXN_END:
+                    if txn_start is not None:
+                        if measuring:
                             txn_latencies.append(clock - txn_start)
-                        txn_start = None
-                    elif kind == BK_COMPUTE:
-                        clock += args[i]
-                    elif kind == BK_CLWB_CLEAN:
-                        clock += clwb_issue_ns
-                    else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        if kind == BK_MEM_MISS_WB:
-                            clock = read_fast(clock, args[i], core)
-                        for victim in wbs[i]:
-                            persist_fast(clock, victim, None, core, False)
-                self.clock = clock
-                start = stop
-        else:
-            read_line = system.read_line
-            persist = system.persist_line
-            while start < n:
-                stop = start + chunk
-                if stop > n:
-                    stop = n
-                for i in range(start, stop):
-                    kind = bkinds[i]
-                    if kind == BK_MEM_HIT:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                    elif kind == BK_CLWB_DIRTY:
-                        clock += clwb_issue_ns
-                        result = persist(
-                            clock,
-                            args[i],
-                            payload=None if payloads is None else payloads[i],
-                            core=core,
-                        )
-                        if result.durable_time > clock:
-                            clock = result.durable_time
-                    elif kind == BK_MEM_MISS:
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        clock = read_line(clock, args[i], core=core).finish_time
-                    elif kind == BK_FENCE:
-                        clock += sfence_ns
-                    elif kind == BK_TXN_BEGIN:
-                        txn_start = clock
-                    elif kind == BK_TXN_END:
-                        if txn_start is not None:
-                            if measuring:
-                                txn_latencies.append(clock - txn_start)
-                            if tracer_enabled:
-                                tracer.txn(txn_start, clock, core)
-                        txn_start = None
-                    elif kind == BK_COMPUTE:
-                        clock += args[i]
-                    elif kind == BK_CLWB_CLEAN:
-                        clock += clwb_issue_ns
-                    else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
-                        clock += cpu_op_ns
-                        clock += lats[i]
-                        if kind == BK_MEM_MISS_WB:
-                            clock = read_line(clock, args[i], core=core).finish_time
-                        for victim in wbs[i]:
-                            persist(clock, victim, core=core, persistent=False)
-                self.clock = clock
-                start = stop
+                        if tracer_enabled:
+                            tracer.txn(txn_start, clock, core)
+                    txn_start = None
+                elif kind == BK_COMPUTE:
+                    clock += args[i]
+                elif kind == BK_CLWB_CLEAN:
+                    clock += clwb_issue_ns
+                else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
+                    clock += cpu_op_ns
+                    clock += lats[i]
+                    if kind == BK_MEM_MISS_WB:
+                        clock = read_line(clock, args[i], core)
+                    # Dirty last-level evictions: asynchronous from the
+                    # core's view (hardware write buffers), and not
+                    # crash-critical (persistent=False).
+                    for victim in wbs[i]:
+                        persist(clock, victim, None, core, False)
+            self.clock = clock
+            start = stop
         self.clock = clock
         self._txn_start = txn_start

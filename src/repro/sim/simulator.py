@@ -19,7 +19,6 @@ from repro.obs.tracer import NULL_TRACER
 from repro.common.errors import SimulationError
 from repro.sim.batch import (
     HIERARCHY_STAT_NAMESPACES,
-    OutcomeSegment,
     ReplayOutcomes,
     TraceArrays,
     build_arrays,
@@ -169,26 +168,17 @@ class Simulator:
         }
         warm_segment = None
         if n_warm:
-            kinds: bytearray = bytearray()
-            lats: list = []
-            wbs: dict = {}
             self.engine.set_measuring(False)
-            self.engine.run_batched_record(warmup_arrays, kinds, lats, wbs)
+            warm_segment = self.engine.run_batched_record(warmup_arrays)
             self.engine.set_measuring(True)
             self._reset_warmup_stats()
-            warm_segment = OutcomeSegment(bytes(kinds), lats, wbs)
-        kinds = bytearray()
-        lats = []
-        wbs = {}
-        self.engine.run_batched_record(arrays, kinds, lats, wbs)
+        main = self.engine.run_batched_record(arrays)
         delta = tuple(
             (key, value - base.get(key, 0.0))
             for key, value in raw.items()
             if key[0] in namespaces and value != base.get(key, 0.0)
         )
-        self.recorded_outcomes = ReplayOutcomes(
-            OutcomeSegment(bytes(kinds), lats, wbs), warm_segment, delta
-        )
+        self.recorded_outcomes = ReplayOutcomes(main, warm_segment, delta)
 
     def _reset_warmup_stats(self) -> None:
         # Warmup traffic warms caches but should not pollute traffic

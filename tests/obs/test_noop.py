@@ -7,11 +7,24 @@ Two directions:
   tracer argument at all;
 * an *enabled* tracer observes but never perturbs: the traced run's
   timing and counters equal the untraced run's.
+
+The same holds for an armed crash point that is never reached, and for
+every evaluated scheme and fidelity, whether the run records its
+hierarchy outcome stream or replays a recorded one.
 """
 
-from repro.core.schemes import Scheme
+import pytest
+
+from repro.core.schemes import EVALUATED_SCHEMES, Scheme
 from repro.obs import NULL_TRACER, Tracer
 from repro.sim.simulator import simulate_workload
+from tests.obs.test_event_digests import (
+    FIDELITIES,
+    SAMPLE_NS,
+    point_config,
+    point_trace,
+    run_point,
+)
 
 KWARGS = dict(
     n_ops=40, request_size=1024, footprint=1 << 20, seed=3
@@ -54,3 +67,38 @@ def test_tracer_event_totals_match_aggregate_counters():
     assert len(stalls) == result.stats.get("wq", "full_stalls")
     assert sum(e.dur for e in stalls) == result.wq_stall_ns
     assert tracer.histograms["txn_latency_ns"].n == result.n_txns
+
+
+def _snapshot(result):
+    return (
+        result.total_time_ns,
+        tuple(result.txn_latencies),
+        tuple(sorted(result.stats.raw().items())),
+    )
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+@pytest.mark.parametrize("scheme", EVALUATED_SCHEMES, ids=lambda s: s.value)
+def test_observation_never_perturbs_record_or_replay(scheme, fidelity):
+    cfg = point_config(scheme, fidelity)
+    trace = point_trace(cfg)
+    recorded, sim = run_point(cfg, trace)
+    want = _snapshot(recorded)
+    pair = (
+        cfg.encrypted
+        and cfg.atomicity_register
+        and sim.system.counter_cache.write_through
+    )
+    point = "after-pair-append" if pair else "after-data-append"
+    for outcomes in (None, sim.recorded_outcomes):
+        plain, _ = run_point(cfg, trace, outcomes=outcomes)
+        traced, _ = run_point(
+            cfg, trace, outcomes=outcomes, tracer=Tracer(sample_interval_ns=SAMPLE_NS)
+        )
+        armed, armed_sim = run_point(cfg, trace, outcomes=outcomes, arm=(point, 10**9))
+        assert _snapshot(plain) == want
+        assert _snapshot(traced) == want
+        assert _snapshot(armed) == want
+        # The armed point sat on the executed path the whole run.
+        assert armed_sim.system.crash_ctl.occurrences(point) > 0
+        assert not armed_sim.system.crash_ctl.fired

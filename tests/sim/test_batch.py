@@ -140,6 +140,25 @@ class TestOutcomeReplayGuards:
         with pytest.raises(SimulationError):
             Simulator(BATCHED).engine.run_batched_replay(arrays, short)
 
+    @pytest.mark.parametrize("entry", ["run", "run_batched_record", "run_batched_replay"])
+    def test_crashed_system_refuses_every_loop(self, entry):
+        trace = generate_trace("array", n_ops=10, request_size=256,
+                               footprint=1 << 18, seed=2)
+        arrays = build_arrays(trace.ops)
+        recorder = Simulator(BATCHED)
+        recorder.run(trace.ops, arrays=arrays, record_outcomes=True)
+        sim = Simulator(BATCHED)
+        sim.system.crash()
+        call = {
+            "run": lambda: sim.engine.run(trace.ops),
+            "run_batched_record": lambda: sim.engine.run_batched_record(arrays),
+            "run_batched_replay": lambda: sim.engine.run_batched_replay(
+                arrays, recorder.recorded_outcomes.main
+            ),
+        }[entry]
+        with pytest.raises(SimulationError, match="used after crash"):
+            call()
+
 
 class TestCacheCounters:
     def test_array_and_outcome_stats_count(self):
