@@ -18,6 +18,7 @@ Regenerate everything the paper reports (markdown to stdout)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -127,6 +128,72 @@ _DESCRIPTIONS = {
 }
 
 
+def _sweep_flags() -> argparse.ArgumentParser:
+    """The sweep-runner flags ``run`` and ``tune`` share (a parent
+    parser; :func:`_sweep_session` applies them)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--jobs",
+        default="1",
+        metavar="N",
+        help="worker processes for the sweep ('auto' = CPU count; "
+        "default 1 = serial; results are bit-identical at any count)",
+    )
+    flags.add_argument(
+        "--resume",
+        default=None,
+        metavar="JOURNAL",
+        help="journal completed sweep points to this JSONL file and skip "
+        "points already journaled there — an interrupted run re-run "
+        "with the same journal is bit-identical to an uninterrupted one "
+        "(see docs/CLI.md and docs/PERFORMANCE.md)",
+    )
+    flags.add_argument(
+        "--point-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="kill and retry any sweep point whose worker exceeds this "
+        "wall-clock budget (default: no timeout)",
+    )
+    flags.add_argument(
+        "--retries",
+        type=int,
+        default=3,
+        metavar="N",
+        help="total execution attempts per sweep point before it is "
+        "reported as failed (default 3; 1 disables retry)",
+    )
+    flags.add_argument(
+        "--live",
+        action="store_true",
+        help="publish live fleet metrics (and repro_tune_* metrics under "
+        "tune) while sweeping: a periodic status line on stderr, a JSONL "
+        "snapshot/event stream, and a Prometheus text snapshot file "
+        "(paths derive from --resume, else 'sweep.*'; serve the .prom "
+        "file with `repro serve-metrics`, analyse the stream with "
+        "`repro sweep-report`)",
+    )
+    flags.add_argument(
+        "--live-interval",
+        type=float,
+        default=2.0,
+        metavar="SECONDS",
+        help="seconds between --live status/snapshot emissions (default 2)",
+    )
+    flags.add_argument(
+        "--outcome-store",
+        default=None,
+        metavar="DIR",
+        help="share generated traces and recorded cache-walk outcome "
+        "streams across processes through an on-disk store: a 4-job "
+        "sweep (or a second invocation) records each (trace, geometry) "
+        "once fleet-wide, with bit-identical results (inspect the store "
+        "with `repro cache`)",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The complete argparse tree (also introspected by the docs-drift
     test, which asserts every subcommand and flag appears in docs/CLI.md)."""
@@ -138,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments")
 
-    run_parser = sub.add_parser("run", help="run experiment(s)")
+    sweep_flags = _sweep_flags()
+    run_parser = sub.add_parser(
+        "run", help="run experiment(s)", parents=[sweep_flags]
+    )
     run_parser.add_argument(
         "experiment",
         choices=EXPERIMENTS + ("all",),
@@ -161,30 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export the raw experiment points as JSON (single experiment only)",
     )
     run_parser.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N",
-        help="worker processes for the sweep grid ('auto' = CPU count; "
-        "default 1 = serial; output is bit-identical either way)",
-    )
-    run_parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="JOURNAL",
-        help="journal completed sweep points to this JSONL file and skip "
-        "points already journaled there — an interrupted sweep re-run "
-        "with the same journal is bit-identical to an uninterrupted one "
-        "(see docs/CLI.md and docs/PERFORMANCE.md)",
-    )
-    run_parser.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any sweep point whose worker exceeds this "
-        "wall-clock budget (default: no timeout)",
-    )
-    run_parser.add_argument(
         "--fidelity",
         choices=("timing", "full"),
         default="timing",
@@ -192,40 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "skips functional byte-level crypto/NVM payloads for speed; 'full' "
         "carries payloads end to end — results are bit-identical either way "
         "(crash/recovery experiments always run full)",
-    )
-    run_parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="total execution attempts per sweep point before it is "
-        "reported as failed (default 3; 1 disables retry)",
-    )
-    run_parser.add_argument(
-        "--live",
-        action="store_true",
-        help="publish live fleet metrics while sweeping: a periodic status "
-        "line on stderr, a JSONL snapshot/event stream, and a Prometheus "
-        "text snapshot file (paths derive from --resume, else 'sweep.*'; "
-        "serve the .prom file with `repro serve-metrics`, analyse the "
-        "stream with `repro sweep-report`)",
-    )
-    run_parser.add_argument(
-        "--live-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between --live status/snapshot emissions (default 2)",
-    )
-    run_parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="DIR",
-        help="share generated traces and recorded cache-walk outcome "
-        "streams across processes through an on-disk store: a 4-job "
-        "sweep (or a second invocation) records each (trace, geometry) "
-        "once fleet-wide, with bit-identical results (inspect the store "
-        "with `repro cache`)",
     )
 
     bench_parser = sub.add_parser(
@@ -434,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser = sub.add_parser(
         "tune",
         help="search SimConfig knobs for the best fitness (docs/TUNING.md)",
+        parents=[sweep_flags],
     )
     tune_parser.add_argument(
         "--workloads",
@@ -488,50 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--request-size", type=int, default=1024, help="per-point request size"
     )
     tune_parser.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N",
-        help="worker processes per candidate evaluation ('auto' = CPU "
-        "count; decisions are identical at any job count)",
-    )
-    tune_parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="JOURNAL",
-        help="journal candidate evaluations to this JSONL file; a killed "
-        "search re-run with the same arguments and journal replays "
-        "finished evaluations from disk and lands on a bit-identical "
-        "trajectory digest",
-    )
-    tune_parser.add_argument(
-        "--point-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="kill and retry any evaluation point past this wall-clock "
-        "budget (default: no timeout)",
-    )
-    tune_parser.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="execution attempts per evaluation point (default 3)",
-    )
-    tune_parser.add_argument(
-        "--live",
-        action="store_true",
-        help="publish live fleet + repro_tune_* metrics while searching "
-        "(stream/prom paths derive from --resume, else 'sweep.*')",
-    )
-    tune_parser.add_argument(
-        "--live-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between --live emissions (default 2)",
-    )
-    tune_parser.add_argument(
         "--surrogate-first",
         action="store_true",
         help="screen candidates with an online knob model before paying "
@@ -566,14 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="RECOMMENDED_CONFIG.json",
         metavar="PATH",
         help="best-found config export (default: RECOMMENDED_CONFIG.json)",
-    )
-    tune_parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="DIR",
-        help="share traces and recorded cache-walk outcomes across the "
-        "search's workers (and across tuner invocations) through an "
-        "on-disk store (see `repro run --outcome-store`)",
     )
 
     tune_report_parser = sub.add_parser(
@@ -680,14 +641,10 @@ def main(argv=None) -> int:
             print(f"{name:10s} {_DESCRIPTIONS[name]}")
         return 0
 
-    jobs = _parse_jobs(args.jobs)
-    _install_policy(args)
-    _install_outcome_store(args)
-    reporter = _install_live_metrics(args)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     json_path = args.json if len(names) == 1 else None
     sections = []
-    try:
+    with _sweep_session(args) as jobs:
         for name in names:
             started = time.time()
             print(
@@ -709,9 +666,6 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             _report_sweep_health(name)
-    finally:
-        if reporter is not None:
-            reporter.stop()
     output = "\n".join(sections)
     if args.output:
         with open(args.output, "w") as fh:
@@ -722,38 +676,37 @@ def main(argv=None) -> int:
     return 0
 
 
-def _install_policy(args) -> None:
-    """Map ``--point-timeout``/``--retries`` onto the runner's default
-    :class:`~repro.experiments.runner.RunnerPolicy` for this process."""
-    from repro.experiments.runner import RunnerPolicy, set_default_policy
+@contextlib.contextmanager
+def _sweep_session(args):
+    """Apply the shared sweep flags (:func:`_sweep_flags`) for one
+    command; yields the parsed ``--jobs``.
 
+    ``--point-timeout``/``--retries`` become the runner's default
+    :class:`~repro.experiments.runner.RunnerPolicy`, ``--outcome-store``
+    the experiments' default base config (every spec, and through
+    pickling every worker, carries the path), and ``--live`` stands up a
+    real registry (installed as the runner default) with a JSONL event
+    stream and a :class:`~repro.obs.live.LiveReporter` rewriting the
+    ``.prom`` snapshot until the session ends. Without ``--live`` the
+    runner keeps its zero-overhead ``NULL_METRICS`` default.
+    """
+    from repro.experiments.common import set_default_outcome_store
+    from repro.experiments.runner import (
+        RunnerPolicy,
+        set_default_metrics,
+        set_default_policy,
+    )
+
+    jobs = _parse_jobs(args.jobs)
     if args.retries < 1:
         raise SystemExit(f"--retries must be >= 1, got {args.retries}")
     set_default_policy(
         RunnerPolicy(point_timeout_s=args.point_timeout, max_attempts=args.retries)
     )
-
-
-def _install_outcome_store(args) -> None:
-    """Map ``--outcome-store`` onto the experiments' default base config,
-    so every spec (and through pickling, every worker) carries the path."""
-    from repro.experiments.common import set_default_outcome_store
-
-    set_default_outcome_store(getattr(args, "outcome_store", None))
-
-
-def _install_live_metrics(args):
-    """Stand up the ``--live`` pipeline: a real registry (installed as the
-    runner default), a JSONL event stream, and a started
-    :class:`~repro.obs.live.LiveReporter` rewriting the ``.prom`` snapshot.
-
-    Returns the reporter (caller must ``stop()`` it), or ``None`` when
-    ``--live`` is off — the runner then keeps its zero-overhead
-    ``NULL_METRICS`` default.
-    """
-    if not getattr(args, "live", False):
-        return None
-    from repro.experiments.runner import set_default_metrics
+    set_default_outcome_store(args.outcome_store)
+    if not args.live:
+        yield jobs
+        return
     from repro.obs.live import LiveReporter
     from repro.obs.metrics import MetricsRegistry, MetricsStream
 
@@ -773,7 +726,10 @@ def _install_live_metrics(args):
         f"(every {args.live_interval:g}s)",
         file=sys.stderr,
     )
-    return reporter
+    try:
+        yield jobs
+    finally:
+        reporter.stop()
 
 
 def _report_sweep_health(name: str) -> None:
@@ -929,25 +885,20 @@ def _cmd_tune(args) -> int:
     if not workloads:
         raise SystemExit("--workloads needs at least one workload name")
     budget = resolve_budget(args.budget)
-    jobs = _parse_jobs(args.jobs)
-    _install_policy(args)
-    _install_outcome_store(args)
-    reporter = _install_live_metrics(args)
-
     surrogate_model = None
     if args.surrogate_model:
         from repro.sim.surrogate import SurrogateModel
 
         surrogate_model = SurrogateModel.load(args.surrogate_model)
 
-    print(
-        f"[repro] tuning {'+'.join(workloads)} under {scheme.label} "
-        f"(strategy={args.strategy}, fitness={args.fitness}, "
-        f"budget={budget}, scale={args.scale}, seed={args.seed}, "
-        f"jobs={jobs})...",
-        file=sys.stderr,
-    )
-    try:
+    with _sweep_session(args) as jobs:
+        print(
+            f"[repro] tuning {'+'.join(workloads)} under {scheme.label} "
+            f"(strategy={args.strategy}, fitness={args.fitness}, "
+            f"budget={budget}, scale={args.scale}, seed={args.seed}, "
+            f"jobs={jobs})...",
+            file=sys.stderr,
+        )
         result = tune(
             workloads,
             scheme=scheme,
@@ -966,9 +917,6 @@ def _cmd_tune(args) -> int:
             trajectory=args.trajectory,
             metrics=default_metrics(),
         )
-    finally:
-        if reporter is not None:
-            reporter.stop()
 
     with open(args.recommend, "w", encoding="utf-8") as fh:
         json.dump(result.recommended(), fh, indent=2, sort_keys=True)

@@ -20,9 +20,15 @@ timeout, or returns garbage poisons only its own point: the runner
 records the attempt, retries with exponential backoff up to
 :class:`RunnerPolicy.max_attempts`, replaces the dead worker, and — when
 the parallel budget is exhausted — degrades to one last serial in-process
-execution before giving up. Points that still fail surface as structured
-:class:`PointFailure` records on the :class:`RunnerReport` (and as
-``CAT_RUNNER`` trace events via :meth:`RunnerReport.failure_events`);
+execution before giving up. One ledger records every attempt, so the
+serial loop, the pool and the fallback count, retry and fail a point
+the same way; a :class:`~repro.common.errors.ConfigError` (a
+misconfigured spec) is never retried, at any ``jobs``. Every simulated
+point passes :func:`~repro.sim.validation.validate_result`; a violated
+invariant is an ordinary failed attempt. Points that still fail surface
+as structured :class:`PointFailure` records on the :class:`RunnerReport`
+(and as ``CAT_RUNNER`` trace events via
+:meth:`RunnerReport.failure_events`);
 :func:`run_points` then raises :class:`~repro.common.errors.SweepError`
 listing exactly the poisoned points. Deterministic fault injection for
 tests and drills lives in :mod:`repro.experiments.faults`
@@ -58,7 +64,7 @@ import sys
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -69,9 +75,9 @@ from typing import (
     Union,
 )
 
-from repro.common.config import SimConfig
+from repro.common.config import CounterCacheMode, SimConfig
 from repro.common.errors import ConfigError, SweepError
-from repro.core.schemes import Scheme
+from repro.core.schemes import Scheme, scheme_config
 from repro.experiments.faults import (
     CRASH_EXIT_CODE,
     FAULT_CORRUPT,
@@ -94,6 +100,7 @@ from repro.obs.events import (
 from repro.obs.histogram import Histogram
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.metrics import SimResult
+from repro.sim.validation import validate_result
 
 
 #: The metric-name vocabulary the sweep runner publishes when a
@@ -380,18 +387,15 @@ class RunnerReport:
     jobs: int
     n_points: int
     wall_s: float = 0.0
-    #: Distribution of per-point wall times (seconds; serial runs only —
-    #: parallel workers don't report individual timings back).
+    #: Distribution of the wall times (seconds) of successful attempts,
+    #: in-process and in workers (timed at the parent, submit to result).
     point_wall_s: Histogram = field(default_factory=Histogram)
-    #: Parent-process trace-cache (hits, misses) delta, serial runs only.
+    #: This process's trace-cache (hits, misses) delta over the sweep
+    #: (workers keep their own caches).
     trace_cache: Tuple[int, int] = (0, 0)
-    #: Replay-array decode cache (hits, misses) delta, serial runs only.
-    trace_arrays: Tuple[int, int] = (0, 0)
-    #: Hierarchy outcome-stream cache (hits, misses) delta, serial only.
-    trace_outcomes: Tuple[int, int] = (0, 0)
-    #: On-disk outcome-store counter delta (hits/misses by entry kind,
-    #: bytes by direction; see
-    #: :func:`repro.sim.outcome_store.store_stats`), serial runs only.
+    #: This process's on-disk outcome-store counter delta (hits/misses by
+    #: entry kind, bytes by direction; see
+    #: :func:`repro.sim.outcome_store.store_stats`).
     outcome_store: Dict[str, int] = field(default_factory=dict)
     #: Failed attempts that were retried (includes timeouts).
     retries: int = 0
@@ -416,45 +420,19 @@ class RunnerReport:
         start, matching the Chrome exporter's unit, so harness events can
         ride in the same file as a simulation trace.
         """
+        def event(name: str, args: Optional[Dict[str, object]] = None):
+            return TraceEvent(
+                cat=CAT_RUNNER, name=name, track=TRACK_RUNNER, ts=0.0, args=args
+            )
+
         events: List[TraceEvent] = []
         if self.resumed:
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER,
-                    name=RUNNER_EV_RESUME,
-                    track=TRACK_RUNNER,
-                    ts=0.0,
-                    args={"points": self.resumed, "journal": self.journal_path},
-                )
-            )
-        for _ in range(self.timeouts):
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER, name=RUNNER_EV_TIMEOUT, track=TRACK_RUNNER, ts=0.0
-                )
-            )
-        for _ in range(self.retries):
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER, name=RUNNER_EV_RETRY, track=TRACK_RUNNER, ts=0.0
-                )
-            )
-        for _ in range(self.serial_fallbacks):
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER, name=RUNNER_EV_FALLBACK, track=TRACK_RUNNER, ts=0.0
-                )
-            )
-        for failure in self.failures:
-            events.append(
-                TraceEvent(
-                    cat=CAT_RUNNER,
-                    name=RUNNER_EV_FAILURE,
-                    track=TRACK_RUNNER,
-                    ts=0.0,
-                    args=failure.to_dict(),
-                )
-            )
+            resume = {"points": self.resumed, "journal": self.journal_path}
+            events.append(event(RUNNER_EV_RESUME, resume))
+        events += [event(RUNNER_EV_TIMEOUT) for _ in range(self.timeouts)]
+        events += [event(RUNNER_EV_RETRY) for _ in range(self.retries)]
+        events += [event(RUNNER_EV_FALLBACK) for _ in range(self.serial_fallbacks)]
+        events += [event(RUNNER_EV_FAILURE, f.to_dict()) for f in self.failures]
         return events
 
     def to_dict(self) -> Dict[str, object]:
@@ -477,23 +455,10 @@ class RunnerReport:
             "serial_fallbacks": self.serial_fallbacks,
             "outcome_store": dict(self.outcome_store),
             "failures": [f.to_dict() for f in self.failures],
-            "failure_events": [_event_to_dict(e) for e in self.failure_events()],
+            "failure_events": [asdict(e) for e in self.failure_events()],
             "journal": self.journal_path,
             "metrics": self.metrics,
         }
-
-
-def _event_to_dict(event: TraceEvent) -> Dict[str, object]:
-    """JSON form of one :class:`TraceEvent` (for report serialization)."""
-    return {
-        "cat": event.cat,
-        "name": event.name,
-        "track": event.track,
-        "ts": event.ts,
-        "ph": event.ph,
-        "dur": event.dur,
-        "args": event.args,
-    }
 
 
 #: Called after each completed point with (done, total).
@@ -514,6 +479,10 @@ _default_metrics: MetricsRegistry = NULL_METRICS  # type: ignore[assignment]
 #: ``bench-sweep`` reads it after driving an experiment whose public API
 #: returns only points (fig13.run and friends).
 _last_report: Optional[RunnerReport] = None
+
+
+class CorruptResult(RuntimeError):
+    """An attempt returned something other than a :class:`SimResult`."""
 
 
 def set_default_metrics(registry: MetricsRegistry) -> None:
@@ -553,7 +522,12 @@ def last_report() -> Optional[RunnerReport]:
 
 
 def _run_point(spec: PointSpec) -> SimResult:
-    """Execute one spec (also the child-process entry point)."""
+    """Execute one spec (also the child-process entry point).
+
+    Every simulated point passes :func:`~repro.sim.validation.validate_result`
+    with its scheme's flags and bank count; a violation raises like any
+    other failed attempt.
+    """
     if spec.kernel == "recovery":
         from repro.core.recovery_cost import run_recovery_point
 
@@ -568,7 +542,7 @@ def _run_point(spec: PointSpec) -> SimResult:
             if isinstance(spec.workload, tuple)
             else spec.workload
         )
-        return simulate_multiprogrammed(
+        result = simulate_multiprogrammed(
             workload,
             spec.scheme,
             n_programs=spec.n_programs,
@@ -579,22 +553,31 @@ def _run_point(spec: PointSpec) -> SimResult:
             seed=spec.seed,
             fidelity=spec.fidelity,
         )
-    from repro.sim.simulator import simulate_workload
+    else:
+        from repro.sim.simulator import simulate_workload
 
-    if not isinstance(spec.workload, str):
-        raise ConfigError("single-core point needs exactly one workload name")
-    return simulate_workload(
-        spec.workload,
-        spec.scheme,
-        n_ops=spec.n_ops,
-        request_size=spec.request_size,
-        footprint=spec.footprint,
-        base_config=spec.base_config,
-        seed=spec.seed,
-        warmup_ops=spec.warmup_ops,
-        counter_organization=spec.counter_organization,
-        fidelity=spec.fidelity,
+        if not isinstance(spec.workload, str):
+            raise ConfigError("single-core point needs exactly one workload name")
+        result = simulate_workload(
+            spec.workload,
+            spec.scheme,
+            n_ops=spec.n_ops,
+            request_size=spec.request_size,
+            footprint=spec.footprint,
+            base_config=spec.base_config,
+            seed=spec.seed,
+            warmup_ops=spec.warmup_ops,
+            counter_organization=spec.counter_organization,
+            fidelity=spec.fidelity,
+        )
+    cfg = scheme_config(spec.scheme, spec.base_config)
+    validate_result(
+        result,
+        encrypted=cfg.encrypted,
+        write_through=cfg.counter_cache.mode is CounterCacheMode.WRITE_THROUGH,
+        n_banks=cfg.memory.n_banks,
     )
+    return result
 
 
 def default_jobs() -> int:
@@ -616,9 +599,7 @@ class _ProgressReporter:
     fresh completions share a single throttle: the replay prints exactly
     one line (however many points it covered), fresh completions then
     continue the stepped cadence from that count, and the final point
-    always prints — no duplicate and no skipped lines, where the old
-    ad-hoc ``done % step`` lambda fired the throttle with an arbitrary
-    aggregate count after a resume.
+    always prints.
     """
 
     def __init__(self, label: str, total: int, jobs: int):
@@ -710,11 +691,12 @@ def run_points_report(
     :func:`set_default_metrics`, normally :data:`NULL_METRICS`) receives
     the fleet-health instrumentation catalogued in :data:`METRIC_NAMES`;
     with a real registry the final snapshot lands on ``report.metrics``.
+    A :class:`~repro.common.errors.ConfigError` from any point is not
+    retried: it propagates at any ``jobs``.
     """
     global _last_report
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    policy = policy if policy is not None else _default_policy
     if faults is None:
         faults = FaultPlan.from_env()
     if isinstance(journal, str):
@@ -736,104 +718,224 @@ def run_points_report(
         reporter = _ProgressReporter(label, total, jobs)
         progress = reporter.update
 
-    started = time.perf_counter()
-    results: List[Optional[SimResult]] = [None] * total
-    digests = [spec_digest(spec) for spec in specs]
+    ledger = _Ledger(
+        specs=specs,
+        digests=[spec_digest(spec) for spec in specs],
+        results=[None] * total,
+        report=report,
+        policy=policy if policy is not None else _default_policy,
+        faults=faults,
+        sm=sm,
+        journal=journal,
+        progress=progress,
+        started=time.perf_counter(),
+    )
     if sm.enabled:
         sm.points.set(total)
         if journal is not None and journal.torn_tails:
             sm.torn_tails.inc(journal.torn_tails)
 
     # Resume: satisfy journaled points without re-execution.
-    done_count = 0
-    executed = 0
     remaining: List[int] = []
-    for index, digest in enumerate(digests):
+    for index, digest in enumerate(ledger.digests):
         cached = journal.get(digest) if journal is not None else None
         if cached is not None:
-            results[index] = cached
+            ledger.results[index] = cached
             report.resumed += 1
-            done_count += 1
             if sm.enabled:
                 sm.resume_hits.inc()
                 sm.points_total.labels("resumed").inc()
-        elif journal is not None and sm.enabled:
-            remaining.append(index)
-            sm.resume_misses.inc()
         else:
             remaining.append(index)
+            if journal is not None and sm.enabled:
+                sm.resume_misses.inc()
+    ledger.done = report.resumed
     if report.resumed:
         if sm.enabled:
-            sm.done.set(done_count)
-            sm.event(
-                "resumed", label=label, points=report.resumed, done=done_count
-            )
+            sm.done.set(ledger.done)
+            sm.event("resumed", label=label, points=report.resumed, done=ledger.done)
         if reporter is not None:
-            reporter.replay(done_count, report.resumed)
+            reporter.replay(ledger.done, report.resumed)
         elif progress is not None:
-            progress(done_count, total)
-
-    def on_done(index: int, result: SimResult) -> None:
-        nonlocal done_count, executed
-        results[index] = result
-        if journal is not None:
-            journal.record(digests[index], specs[index].label(), result)
-            if sm.enabled:
-                sm.journal_records.inc()
-        done_count += 1
-        executed += 1
-        if sm.enabled:
-            sm.done.set(done_count)
-            sm.points_total.labels("ok").inc()
-            elapsed = time.perf_counter() - started
-            if elapsed > 0:
-                rate = executed / elapsed
-                sm.throughput.set(rate)
-                sm.eta.set((total - done_count) / rate if rate > 0 else 0.0)
-        if progress is not None:
-            progress(done_count, total)
+            progress(ledger.done, total)
 
     if remaining:
+        before = _parent_cache_counters()
         if jobs == 1 or len(remaining) <= 1:
-            _run_serial(
-                specs, remaining, digests, report, policy, faults, on_done, sm
-            )
+            for index in remaining:
+                ledger.in_process(index, 1)
         else:
-            _run_parallel(
-                specs, remaining, digests, jobs, report, policy, faults, on_done, sm
-            )
+            _run_parallel(ledger, remaining, jobs)
+        _charge_parent_cache(report, sm, before)
 
-    for failure in report.failures:
-        if journal is not None:
-            journal.record_failure(
-                failure.digest, failure.label, failure.to_dict()
-            )
-        if sm.enabled:
-            sm.points_total.labels("failed").inc()
-            sm.event(
-                "point_failure",
-                index=failure.index,
-                label=failure.label,
-                exc_type=failure.exc_type,
-                attempts=failure.attempts,
-            )
-        print(
-            f"[runner] {label}: point #{failure.index} ({failure.label}) "
-            f"FAILED after {failure.attempts} attempts: {failure.exc_type}",
-            file=sys.stderr,
-        )
-
-    report.wall_s = time.perf_counter() - started
+    report.wall_s = time.perf_counter() - ledger.started
     if sm.enabled:
         sm.eta.set(0.0)
         report.metrics = sm.registry.snapshot()
     _last_report = report
-    return results, report
+    return ledger.results, report
+
+
+def _parent_cache_counters():
+    """This process's trace-cache and outcome-store counters."""
+    from repro.sim import trace_cache
+
+    return (
+        trace_cache.cache_stats(),
+        trace_cache.array_stats(),
+        trace_cache.outcome_stats(),
+        trace_cache.store_stats(),
+    )
+
+
+def _charge_parent_cache(report: RunnerReport, sm: SweepMetrics, before) -> None:
+    """Charge this process's cache activity since ``before`` to the sweep
+    (workers keep their own caches, so only in-process attempts show)."""
+    (hits0, misses0), array0, outcome0, store0 = before
+    (hits1, misses1), array1, outcome1, store1 = _parent_cache_counters()
+    report.trace_cache = (hits1 - hits0, misses1 - misses0)
+    report.outcome_store = {key: store1[key] - store0.get(key, 0) for key in store1}
+    if sm.enabled:
+        sm.array_hits.inc(array1[0] - array0[0])
+        sm.array_misses.inc(array1[1] - array0[1])
+        sm.outcome_hits.inc(outcome1[0] - outcome0[0])
+        sm.outcome_misses.inc(outcome1[1] - outcome0[1])
+        store = report.outcome_store
+        sm.store_hits.labels("trace").inc(store.get("trace_hits", 0))
+        sm.store_hits.labels("outcomes").inc(store.get("outcome_hits", 0))
+        sm.store_misses.labels("trace").inc(store.get("trace_misses", 0))
+        sm.store_misses.labels("outcomes").inc(store.get("outcome_misses", 0))
+        sm.store_bytes.labels("read").inc(store.get("bytes_read", 0))
+        sm.store_bytes.labels("written").inc(store.get("bytes_written", 0))
 
 
 # ----------------------------------------------------------------------
-# Serial execution (and the shared attempt/backoff loop)
+# The attempt ledger (and the in-process attempt loop)
 # ----------------------------------------------------------------------
+
+
+@dataclass
+class _Ledger:
+    """The one record of a sweep's attempts.
+
+    The in-process loop, the worker pool and the pool's serial fallback
+    all report every finished attempt here, so a point is counted,
+    retried, failed and handed on the same way at any ``jobs``.
+    """
+
+    specs: List[PointSpec]
+    digests: List[str]
+    results: List[Optional[SimResult]]
+    report: RunnerReport
+    policy: RunnerPolicy
+    faults: Optional[FaultPlan]
+    sm: SweepMetrics
+    journal: Optional[SweepJournal]
+    progress: Optional[ProgressFn]
+    #: ``time.perf_counter()`` at the sweep start.
+    started: float
+    #: Points completed so far (resumed + executed).
+    done: int = 0
+    executed: int = 0
+
+    def ok(
+        self, index: int, attempt: int, wall: float, worker: int, result: SimResult
+    ) -> None:
+        """Record the successful ``attempt`` of point ``index``
+        (``worker`` is the pool slot, ``-1`` in-process)."""
+        sm = self.sm
+        self.report.point_wall_s.record(wall)
+        self.results[index] = result
+        if self.journal is not None:
+            self.journal.record(self.digests[index], self.specs[index].label(), result)
+        self.done += 1
+        self.executed += 1
+        if sm.enabled:
+            sm.attempts.labels("ok").inc()
+            sm.point_wall.observe(wall)
+            sm.event(
+                "point",
+                index=index,
+                label=self.specs[index].label(),
+                wall_s=wall,
+                worker=worker,
+                attempts=attempt,
+            )
+            if self.journal is not None:
+                sm.journal_records.inc()
+            sm.done.set(self.done)
+            sm.points_total.labels("ok").inc()
+            elapsed = time.perf_counter() - self.started
+            if elapsed > 0:
+                rate = self.executed / elapsed
+                sm.throughput.set(rate)
+                sm.eta.set((self.report.n_points - self.done) / rate)
+        if self.progress is not None:
+            self.progress(self.done, self.report.n_points)
+
+    def failed(self, attempt: int, exc_type: str) -> Optional[float]:
+        """Count one failed attempt; returns the backoff (seconds) before
+        the next attempt, or ``None`` once the budget is spent."""
+        self.sm.attempt_outcome(exc_type)
+        if attempt >= self.policy.max_attempts:
+            return None
+        self.report.retries += 1
+        self.sm.retries.inc()
+        return self.policy.backoff_s * (2 ** (attempt - 1))
+
+    def give_up(self, index: int, attempts: int, exc_type: str, tb_tail: str) -> None:
+        """Record point ``index`` as failed after ``attempts`` attempts."""
+        failure = PointFailure(
+            index=index,
+            digest=self.digests[index],
+            label=self.specs[index].label(),
+            attempts=attempts,
+            exc_type=exc_type,
+            traceback_tail=tb_tail,
+        )
+        self.report.failures.append(failure)
+        if self.journal is not None:
+            self.journal.record_failure(failure.digest, failure.label, failure.to_dict())
+        if self.sm.enabled:
+            self.sm.points_total.labels("failed").inc()
+            self.sm.event(
+                "point_failure",
+                index=index,
+                label=failure.label,
+                exc_type=exc_type,
+                attempts=attempts,
+            )
+        print(
+            f"[runner] {self.report.label}: point #{index} ({failure.label}) "
+            f"FAILED after {attempts} attempts: {exc_type}",
+            file=sys.stderr,
+        )
+
+    def in_process(self, index: int, first_attempt: int) -> bool:
+        """Attempt point ``index`` in this process, from ``first_attempt``
+        on, until one attempt succeeds (True) or the budget is spent
+        (False). A :class:`ConfigError` — a misconfigured spec, which no
+        retry will change — propagates."""
+        attempt = first_attempt
+        while True:
+            t0 = time.perf_counter()
+            try:
+                result = _attempt_in_process(
+                    self.specs[index], index, attempt, self.faults
+                )
+            except ConfigError:
+                raise
+            except Exception:
+                exc_type, tb_tail = sys.exc_info()[0].__name__, _traceback_tail()
+                backoff = self.failed(attempt, exc_type)
+                if backoff is None:
+                    self.give_up(index, attempt, exc_type, tb_tail)
+                    return False
+                time.sleep(backoff)
+                attempt += 1
+                continue
+            self.ok(index, attempt, time.perf_counter() - t0, -1, result)
+            return True
 
 
 def _attempt_in_process(
@@ -852,97 +954,8 @@ def _attempt_in_process(
     if fault == FAULT_CORRUPT:
         result = _CORRUPT_SENTINEL  # type: ignore[assignment]
     if not isinstance(result, SimResult):
-        raise InjectedFault(
-            f"point {index} returned a corrupt result: {type(result).__name__}"
-        )
+        raise CorruptResult(f"point {index} returned {type(result).__name__}")
     return result
-
-
-def _run_serial(
-    specs: List[PointSpec],
-    indices: Sequence[int],
-    digests: List[str],
-    report: RunnerReport,
-    policy: RunnerPolicy,
-    faults: Optional[FaultPlan],
-    on_done: Callable[[int, SimResult], None],
-    sm: SweepMetrics,
-) -> None:
-    from repro.sim import trace_cache
-
-    hits0, misses0 = trace_cache.cache_stats()
-    array0 = trace_cache.array_stats()
-    outcome0 = trace_cache.outcome_stats()
-    store0 = trace_cache.store_stats()
-    for index in indices:
-        spec = specs[index]
-        last_exc = ("", "")
-        attempt = 0
-        while attempt < policy.max_attempts:
-            attempt += 1
-            t0 = time.perf_counter()
-            try:
-                result = _attempt_in_process(spec, index, attempt, faults)
-            except ConfigError:
-                # A misconfigured spec is a programming error, not a
-                # transient fault — no retry will change the outcome.
-                raise
-            except Exception:
-                last_exc = (sys.exc_info()[0].__name__, _traceback_tail())
-                sm.attempt_outcome(last_exc[0])
-                if attempt < policy.max_attempts:
-                    report.retries += 1
-                    sm.retries.inc()
-                    time.sleep(policy.backoff_s * (2 ** (attempt - 1)))
-                continue
-            wall = time.perf_counter() - t0
-            report.point_wall_s.record(wall)
-            if sm.enabled:
-                sm.attempts.labels("ok").inc()
-                sm.point_wall.observe(wall)
-                sm.event(
-                    "point",
-                    index=index,
-                    label=spec.label(),
-                    wall_s=wall,
-                    worker=-1,
-                    attempts=attempt,
-                )
-            on_done(index, result)
-            break
-        else:
-            report.failures.append(
-                PointFailure(
-                    index=index,
-                    digest=digests[index],
-                    label=spec.label(),
-                    attempts=attempt,
-                    exc_type=last_exc[0],
-                    traceback_tail=last_exc[1],
-                )
-            )
-    hits1, misses1 = trace_cache.cache_stats()
-    report.trace_cache = (hits1 - hits0, misses1 - misses0)
-    array1 = trace_cache.array_stats()
-    outcome1 = trace_cache.outcome_stats()
-    report.trace_arrays = (array1[0] - array0[0], array1[1] - array0[1])
-    report.trace_outcomes = (outcome1[0] - outcome0[0], outcome1[1] - outcome0[1])
-    store1 = trace_cache.store_stats()
-    report.outcome_store = {
-        key: store1[key] - store0.get(key, 0) for key in store1
-    }
-    if sm.enabled:
-        sm.array_hits.inc(report.trace_arrays[0])
-        sm.array_misses.inc(report.trace_arrays[1])
-        sm.outcome_hits.inc(report.trace_outcomes[0])
-        sm.outcome_misses.inc(report.trace_outcomes[1])
-        store = report.outcome_store
-        sm.store_hits.labels("trace").inc(store.get("trace_hits", 0))
-        sm.store_hits.labels("outcomes").inc(store.get("outcome_hits", 0))
-        sm.store_misses.labels("trace").inc(store.get("trace_misses", 0))
-        sm.store_misses.labels("outcomes").inc(store.get("outcome_misses", 0))
-        sm.store_bytes.labels("read").inc(store.get("bytes_read", 0))
-        sm.store_bytes.labels("written").inc(store.get("bytes_written", 0))
 
 
 # ----------------------------------------------------------------------
@@ -959,7 +972,7 @@ def _run_serial(
 
 
 def _worker_main(conn) -> None:
-    """Child-process loop: recv (index, spec, fault), send the outcome."""
+    """Child-process loop: recv (spec, fault), send the outcome."""
     while True:
         try:
             message = conn.recv()
@@ -967,7 +980,7 @@ def _worker_main(conn) -> None:
             return
         if message is None:
             return
-        index, spec, fault = message
+        spec, fault = message
         if fault == FAULT_CRASH:
             os._exit(CRASH_EXIT_CODE)
         if fault == FAULT_HANG:
@@ -975,13 +988,9 @@ def _worker_main(conn) -> None:
                 time.sleep(3600)
         try:
             result = _run_point(spec)
-            payload = (
-                "ok",
-                index,
-                _CORRUPT_SENTINEL if fault == FAULT_CORRUPT else result,
-            )
+            payload = ("ok", _CORRUPT_SENTINEL if fault == FAULT_CORRUPT else result)
         except BaseException as exc:  # noqa: BLE001 - reported to parent
-            payload = ("err", index, type(exc).__name__, _traceback_tail())
+            payload = ("err", type(exc).__name__, _traceback_tail(), str(exc))
         try:
             conn.send(payload)
         except Exception:
@@ -1004,7 +1013,7 @@ class _Worker:
         self.running: Optional[Tuple[int, int]] = None
         self.deadline: Optional[float] = None
         #: ``time.monotonic()`` at submit, for per-point wall accounting.
-        self.started: Optional[float] = None
+        self.started = 0.0
 
     def submit(
         self,
@@ -1019,7 +1028,7 @@ class _Worker:
         self.deadline = (
             self.started + timeout_s if timeout_s is not None else None
         )
-        self.conn.send((index, spec, fault))
+        self.conn.send((spec, fault))
 
     def kill(self) -> None:
         try:
@@ -1042,19 +1051,17 @@ class _Worker:
         self.conn.close()
 
 
-def _run_parallel(
-    specs: List[PointSpec],
-    indices: Sequence[int],
-    digests: List[str],
-    jobs: int,
-    report: RunnerReport,
-    policy: RunnerPolicy,
-    faults: Optional[FaultPlan],
-    on_done: Callable[[int, SimResult], None],
-    sm: SweepMetrics,
-) -> None:
+def _run_parallel(ledger: _Ledger, indices: Sequence[int], jobs: int) -> None:
+    """Run ``indices`` over a supervised pool of ``jobs`` workers.
+
+    The pool only schedules, enforces deadlines and respawns workers;
+    every finished attempt goes to the ledger. A point whose budget the
+    pool spent gets the ledger's in-process loop for one extra attempt
+    (:attr:`RunnerPolicy.serial_fallback`) before it is given up.
+    """
     from multiprocessing import connection as mpc
 
+    policy, faults, sm = ledger.policy, ledger.faults, ledger.sm
     ctx = multiprocessing.get_context()
     n_workers = min(jobs, len(indices))
     # Ready-to-run (index, attempt) pairs; retries wait in a time heap so
@@ -1071,63 +1078,40 @@ def _run_parallel(
         sm.workers.labels("kill").inc()
         sm.workers.labels("respawn").inc()
 
-    def record_attempt_failure(
-        index: int, attempt: int, exc_type: str, tb_tail: str
-    ) -> None:
-        sm.attempt_outcome(exc_type)
-        if attempt < policy.max_attempts:
-            report.retries += 1
-            sm.retries.inc()
-            ready_at = time.monotonic() + policy.backoff_s * (2 ** (attempt - 1))
-            heapq.heappush(retry_heap, (ready_at, index, attempt + 1))
-        else:
+    def failure(index: int, attempt: int, exc_type: str, tb_tail: str) -> None:
+        backoff = ledger.failed(attempt, exc_type)
+        if backoff is None:
             exhausted[index] = (attempt, exc_type, tb_tail)
+        else:
+            ready_at = time.monotonic() + backoff
+            heapq.heappush(retry_heap, (ready_at, index, attempt + 1))
 
     def handle_message(worker: _Worker) -> None:
         index, attempt = worker.running  # type: ignore[misc]
-        started = worker.started
-        worker.running = None
-        worker.deadline = None
-        worker.started = None
+        wall = time.monotonic() - worker.started
+        worker.running = worker.deadline = None
         try:
             message = worker.conn.recv()
         except (EOFError, OSError):
             # Worker died mid-point (hard exit, segfault, unpicklable
             # result). Replace it; charge the point one attempt.
             replace_worker(worker)
-            record_attempt_failure(
-                index, attempt, "WorkerDied", "worker process exited mid-point"
-            )
+            failure(index, attempt, "WorkerDied", "worker process exited mid-point")
             return
-        status = message[0]
-        if status == "ok":
-            result = message[2]
-            if isinstance(result, SimResult):
-                wall = (
-                    time.monotonic() - started if started is not None else 0.0
-                )
-                report.point_wall_s.record(wall)
-                if sm.enabled:
-                    sm.attempts.labels("ok").inc()
-                    sm.point_wall.observe(wall)
-                    sm.event(
-                        "point",
-                        index=index,
-                        label=specs[index].label(),
-                        wall_s=wall,
-                        worker=workers.index(worker),
-                        attempts=attempt,
-                    )
-                on_done(index, result)
-            else:
-                record_attempt_failure(
-                    index,
-                    attempt,
-                    "CorruptResult",
-                    f"worker returned {type(result).__name__}",
-                )
+        if message[0] == "err":
+            _, exc_type, tb_tail, text = message
+            if exc_type == ConfigError.__name__:
+                raise ConfigError(text)
+            failure(index, attempt, exc_type, tb_tail)
+        elif isinstance(message[1], SimResult):
+            ledger.ok(index, attempt, wall, workers.index(worker), message[1])
         else:
-            record_attempt_failure(index, attempt, message[2], message[3])
+            failure(
+                index,
+                attempt,
+                CorruptResult.__name__,
+                f"worker returned {type(message[1]).__name__}",
+            )
 
     try:
         while ready or retry_heap or any(w.running is not None for w in workers):
@@ -1135,21 +1119,23 @@ def _run_parallel(
             while retry_heap and retry_heap[0][0] <= now:
                 _, index, attempt = heapq.heappop(retry_heap)
                 ready.append((index, attempt))
-            for slot, worker in enumerate(workers):
+            for worker in workers:
                 if worker.running is None and ready:
                     index, attempt = ready.popleft()
                     fault = faults.fault_for(index, attempt) if faults else None
                     try:
                         worker.submit(
-                            index, attempt, specs[index], fault, policy.point_timeout_s
+                            index,
+                            attempt,
+                            ledger.specs[index],
+                            fault,
+                            policy.point_timeout_s,
                         )
                     except OSError:
                         # The worker died between points; replace it and
                         # charge the submission as one failed attempt.
                         replace_worker(worker)
-                        record_attempt_failure(
-                            index, attempt, "WorkerDied", "pipe closed on submit"
-                        )
+                        failure(index, attempt, "WorkerDied", "pipe closed on submit")
             busy = [w for w in workers if w.running is not None]
             if sm.enabled:
                 sm.in_flight.set(len(busy))
@@ -1162,16 +1148,10 @@ def _run_parallel(
                 continue
             # Wake on the first result, the nearest deadline, or the next
             # retry becoming ready — whichever comes first.
-            wake_at: Optional[float] = None
-            for w in busy:
-                if w.deadline is not None:
-                    wake_at = w.deadline if wake_at is None else min(wake_at, w.deadline)
+            wake = [w.deadline for w in busy if w.deadline is not None]
             if retry_heap:
-                head = retry_heap[0][0]
-                wake_at = head if wake_at is None else min(wake_at, head)
-            timeout = (
-                max(0.0, wake_at - time.monotonic()) if wake_at is not None else None
-            )
+                wake.append(retry_heap[0][0])
+            timeout = max(0.0, min(wake) - time.monotonic()) if wake else None
             ready_conns = mpc.wait([w.conn for w in busy], timeout)
             by_conn = {w.conn: w for w in busy}
             for conn in ready_conns:
@@ -1185,10 +1165,10 @@ def _run_parallel(
                     and now >= worker.deadline
                 ):
                     index, attempt = worker.running
-                    report.timeouts += 1
+                    ledger.report.timeouts += 1
                     sm.timeouts.inc()
                     replace_worker(worker)
-                    record_attempt_failure(
+                    failure(
                         index,
                         attempt,
                         "PointTimeout",
@@ -1204,42 +1184,9 @@ def _run_parallel(
             sm.in_flight.set(0)
             sm.queue_depth.set(0)
 
-    # Graceful degradation: one last serial in-process attempt per
-    # exhausted point before recording a failure.
-    for index, (attempts, exc_type, tb_tail) in sorted(exhausted.items()):
-        spec = specs[index]
-        if policy.serial_fallback:
-            attempts += 1
-            t0 = time.perf_counter()
-            try:
-                result = _attempt_in_process(spec, index, attempts, faults)
-            except Exception:
-                exc_type, tb_tail = sys.exc_info()[0].__name__, _traceback_tail()
-                sm.attempt_outcome(exc_type)
-            else:
-                report.serial_fallbacks += 1
-                wall = time.perf_counter() - t0
-                report.point_wall_s.record(wall)
-                if sm.enabled:
-                    sm.attempts.labels("ok").inc()
-                    sm.point_wall.observe(wall)
-                    sm.event(
-                        "point",
-                        index=index,
-                        label=spec.label(),
-                        wall_s=wall,
-                        worker=-1,
-                        attempts=attempts,
-                    )
-                on_done(index, result)
-                continue
-        report.failures.append(
-            PointFailure(
-                index=index,
-                digest=digests[index],
-                label=spec.label(),
-                attempts=attempts,
-                exc_type=exc_type,
-                traceback_tail=tb_tail,
-            )
-        )
+    for index in sorted(exhausted):
+        attempts, exc_type, tb_tail = exhausted[index]
+        if not policy.serial_fallback:
+            ledger.give_up(index, attempts, exc_type, tb_tail)
+        elif ledger.in_process(index, attempts + 1):
+            ledger.report.serial_fallbacks += 1

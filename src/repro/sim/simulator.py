@@ -188,6 +188,9 @@ class Simulator:
         for namespace in ("wq", "secmem", "nvm", "mc", "cc", "it"):
             for counter, _ in list(self.stats.namespace(namespace).items()):
                 self.stats.set(namespace, counter, 0)
+        # Writes still queued here leave the queue (issued or coalesced)
+        # inside the measured window without being appended in it.
+        self.stats.set("wq", "carried_in", len(self.system.controller.wq))
 
 
 def simulate_workload(

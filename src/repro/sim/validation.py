@@ -5,8 +5,9 @@ double-counted) without any test failing loudly. :func:`validate_result`
 cross-checks the bookkeeping invariants that must hold between independent
 components after any completed run:
 
-* conservation: every appended write was either issued or coalesced away
-  (the queue drains empty);
+* conservation: every appended write, and every write a warmup left
+  queued (``wq.carried_in``), was either issued or coalesced away (the
+  queue drains empty);
 * pairing: under write-through encryption, counter appends equal data
   appends (before coalescing);
 * provenance: data appends at the queue equal persists at the secure
@@ -14,9 +15,9 @@ components after any completed run:
 * plausibility: latencies are non-negative, the hit rate is a
   probability, bank busy time fits inside the run.
 
-Experiments call it in their loops (it is cheap) so a model regression
-surfaces as a loud `ValidationError` with the violated invariant named,
-not as a quietly wrong figure.
+The sweep runner calls it on every simulated point (it is cheap), so a
+model regression surfaces as a loud `ValidationError` with the violated
+invariant named, not as a quietly wrong figure.
 """
 
 from __future__ import annotations
@@ -35,13 +36,15 @@ def validate_result(
     result: SimResult,
     encrypted: bool | None = None,
     write_through: bool | None = None,
-    n_banks: int = 8,
+    n_banks: int | None = None,
 ) -> List[str]:
     """Check cross-component invariants; returns the list of checks run.
 
     Raises :class:`ValidationError` naming the first violated invariant.
     ``encrypted``/``write_through`` enable the scheme-specific checks when
-    the caller knows the configuration.
+    the caller knows the configuration. ``n_banks`` (the configuration's
+    bank count) bounds the bank checks; ``None`` checks every bank the
+    statistics name.
     """
     stats = result.stats
     checks: List[str] = []
@@ -55,10 +58,12 @@ def validate_result(
     issued = stats.get("wq", "issued")
     coalesced = stats.get("wq", "cwc_coalesced")
     adr = stats.get("wq", "adr_flushed")
+    carried = stats.get("wq", "carried_in")
     ensure(
-        appends == issued + coalesced + adr,
+        appends + carried == issued + coalesced + adr,
         "write-conservation",
-        f"appends={appends} issued={issued} coalesced={coalesced} adr={adr}",
+        f"appends={appends} carried_in={carried} issued={issued} "
+        f"coalesced={coalesced} adr={adr}",
     )
 
     data_appends = stats.get("wq", "data_appends")
@@ -96,7 +101,15 @@ def validate_result(
     ensure(0.0 <= hit_rate <= 1.0, "hit-rate-range", f"{hit_rate}")
 
     if result.total_time_ns > 0:
-        for bank in range(n_banks):
+        if n_banks is None:
+            banks = sorted(
+                int(space[len("bank."):])
+                for space, counter in stats.raw()
+                if space.startswith("bank.") and counter == "busy_ns"
+            )
+        else:
+            banks = range(n_banks)
+        for bank in banks:
             busy = stats.get(f"bank.{bank}", "busy_ns")
             ensure(
                 busy <= result.total_time_ns + 1e-6,

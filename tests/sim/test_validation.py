@@ -86,3 +86,34 @@ def test_bank_busy_overflow_detected():
     result = _result_with({("bank.0", "busy_ns"): 5000.0})
     with pytest.raises(ValidationError, match="bank-busy-fits-run"):
         validate_result(result)
+
+
+def test_bank_checks_cover_every_bank_the_stats_name():
+    result = _result_with({("bank.12", "busy_ns"): 5000.0})
+    with pytest.raises(ValidationError, match="bank 12"):
+        validate_result(result)
+
+
+def test_warmup_run_conserves_writes():
+    """Writes a warmup leaves queued drain inside the measured window; the
+    queue's conservation must still hold over that window."""
+    from repro.core.schemes import scheme_config
+    from repro.experiments.common import experiment_base_config, get_scale
+
+    base = experiment_base_config(get_scale("smoke"), counter_cache_size=1 << 10)
+    result = simulate_workload(
+        "array",
+        Scheme.SUPERMEM,
+        n_ops=120,
+        request_size=1024,
+        footprint=1 << 20,
+        base_config=base,
+        warmup_ops=30,
+    )
+    validate_result(
+        result,
+        encrypted=True,
+        write_through=True,
+        n_banks=scheme_config(Scheme.SUPERMEM, base).memory.n_banks,
+    )
+    assert result.stats.get("wq", "carried_in") > 0
