@@ -189,24 +189,24 @@ class MemoryController:
         ``fifo``: strict append order (head-of-line blocking).
 
         Per-bank scan (exact, not heuristic): the reference scan picks
-        the lexicographic minimum of ``(start, seq)`` over the queue.
-        Two structural facts shrink the candidate set to the FIFO-first
-        entry of each per-bank data/counter bucket:
+        the lexicographic minimum of ``(start, seq)`` over the queue. It
+        rests on one invariant, ``enq_time <= clock`` for every queued
+        entry: an entry's ``enq_time`` is its append time, which never
+        exceeds the controller clock at append (multi-core appends from a
+        core behind the clock land *below* it), and the clock never goes
+        back. Order of ``enq_time`` across appends is not assumed.
 
-        * ``clock >= enq_time`` for every queued entry — an entry's
-          ``enq_time`` is the append time, which never exceeds the
-          controller clock at append, and the clock is monotone. The
-          ``max(..., enq_time)`` term of the reference start is therefore
-          inert, so a *data* entry's start depends only on its bank:
-          every entry of a bucket shares one start and the smallest
-          ``seq`` (FIFO-first) wins the tie-break.
-        * A *counter* entry adds ``enq_time + defer``; within a bucket
-          the FIFO-first entry also has the smallest ``enq_time``
-          whenever appends were time-monotone, so it dominates there
-          too. :attr:`WriteQueue.enq_monotone` certifies that
-          precondition (single-core replay always satisfies it); if a
-          multicore interleaving ever violates it, the queue latches the
-          flag and this method falls back to the full-queue scan.
+        * The ``max(..., enq_time)`` term of the reference start is
+          therefore inert, so a *data* entry's start depends only on its
+          bank: every entry of a bucket shares one start and the FIFO-first
+          (smallest ``seq``) entry wins the tie-break.
+        * A *counter* entry starts at ``max(base, enq_time + defer)``,
+          ``base`` being its bank's start. The FIFO-first entry wins
+          outright when it is not held back (``enq_time + defer <= base``).
+          Otherwise the walk goes on through the bucket in FIFO order,
+          keeping the ``(start, seq)`` minimum, and stops at the first
+          entry that can start at ``base``: no later one can beat it.
+          Under ``frfcfs`` (no defer) every walk stops at the first entry.
         """
         if self._policy == "fifo":
             entry = self.wq.oldest()
@@ -214,9 +214,6 @@ class MemoryController:
                 return None
             return self._entry_start(entry), entry
         wq = self.wq
-        if not wq.enq_monotone:
-            return self._best_candidate_scan()
-
         clock = self.clock
         # Reuse the previous scan while it provably still holds: the
         # queue is unchanged (version match — appends, issues, and CWC
@@ -258,21 +255,24 @@ class MemoryController:
                 if entry.seq < best_seq:
                     best_entry, best_seq = entry, entry.seq
         for bank, bucket in wq.counters_by_bank.items():
-            start = banks[bank].free_at
-            if start < clock:
-                start = clock
+            base = banks[bank].free_at
+            if base < clock:
+                base = clock
             bus = bus_free_at[bank // banks_per_channel]
-            if bus > start:
-                start = bus
-            entry = next(iter(bucket.values()))
-            if defer:
-                # A counter write is held back for a fixed coalescing
-                # window after its append; afterwards it competes like any
-                # other write (so XBank's parallelism is intact while CWC
-                # gets its merge window).
-                deferred = entry.enq_time + defer
-                if deferred > start:
-                    start = deferred
+            if bus > base:
+                base = bus
+            # A counter write is held back for a fixed coalescing window
+            # after its append; afterwards it competes like any other
+            # write (so XBank's parallelism is intact while CWC gets its
+            # merge window).
+            start = None
+            for candidate in bucket.values():
+                deferred = candidate.enq_time + defer
+                if deferred <= base:
+                    start, entry = base, candidate
+                    break
+                if start is None or deferred < start:
+                    start, entry = deferred, candidate
             if (
                 best_entry is None
                 or start < best_start
@@ -282,45 +282,6 @@ class MemoryController:
         if best_entry is None:
             return None
         self._cand_cache = (wq.version, best_start, best_entry)
-        return best_start, best_entry
-
-    def _best_candidate_scan(self) -> Optional[Tuple[float, WQEntry]]:
-        """Full-queue scan with hoisted locals (non-monotone fallback).
-
-        The feasible start of every entry is ``>= self.clock`` (a max
-        over terms that include the clock), and ties break toward the
-        earliest-appended entry (strict ``<`` never replaces an equal
-        best), so the first FIFO entry whose start equals the clock is
-        the exact argmin and the scan stops there.
-        """
-        defer = self._counter_defer_ns if self._policy == "defer-counters" else 0.0
-        clock = self.clock
-        banks = self.banks
-        bus_free_at = self.bus_free_at
-        banks_per_channel = self._banks_per_channel
-        best_start = None
-        best_entry = None
-        for entry in self.wq:
-            bank = entry.bank
-            start = banks[bank].free_at
-            if start < clock:
-                start = clock
-            bus = bus_free_at[bank // banks_per_channel]
-            if bus > start:
-                start = bus
-            enq_time = entry.enq_time
-            if enq_time > start:
-                start = enq_time
-            if defer and entry.is_counter:
-                deferred = enq_time + defer
-                if deferred > start:
-                    start = deferred
-            if best_start is None or start < best_start:
-                best_start, best_entry = start, entry
-                if start <= clock:
-                    break
-        if best_entry is None:
-            return None
         return best_start, best_entry
 
     def _best_candidate_ref(self) -> Optional[Tuple[float, WQEntry]]:

@@ -4,14 +4,21 @@
 private L1/L2 and its own physical region (footprint = one bank's worth of
 memory, the paper's setup), sharing the L3, the memory controller, the
 write queue, and the counter cache. Cores are interleaved by local time:
-at each step the core with the smallest clock executes its next op, which
-is the standard conservative interleaving for trace-driven multi-core
-simulation.
+at each step the core with the smallest clock executes its next op (ties
+go to the lowest core index), which is the standard conservative
+interleaving for trace-driven multi-core simulation. A heap of
+``(clock, core)`` keeps that pick O(log cores): a step moves only its own
+core's clock, so only that core is re-pushed.
+
+Cores behind the shared controller's clock append writes stamped earlier
+than entries already queued; the drain scheduler does not depend on
+append order (see ``MemoryController._best_candidate``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import List, Optional
 
 from repro.cache.sram import SetAssociativeCache
@@ -57,20 +64,25 @@ class MulticoreSimulator:
             raise ConfigError(
                 f"{self.n_cores} cores but {len(traces)} traces supplied"
             )
+        engines = self.engines
         cursors = [0] * self.n_cores
-        remaining = sum(len(t) for t in traces)
-        while remaining:
-            # The core with the smallest local clock (and ops left) steps.
-            best = None
-            for core, engine in enumerate(self.engines):
-                if cursors[core] < len(traces[core]) and (
-                    best is None or engine.clock < self.engines[best].clock
-                ):
-                    best = core
-            engine = self.engines[best]
-            engine.step(traces[best][cursors[best]])
-            cursors[best] += 1
-            remaining -= 1
+        # The core with the smallest local clock (and ops left) steps;
+        # tuple order breaks clock ties toward the lowest core index.
+        ready = [
+            (engine.clock, core)
+            for core, engine in enumerate(engines)
+            if traces[core]
+        ]
+        heapq.heapify(ready)
+        while ready:
+            core = ready[0][1]
+            engine = engines[core]
+            engine.step(traces[core][cursors[core]])
+            cursors[core] += 1
+            if cursors[core] < len(traces[core]):
+                heapq.heapreplace(ready, (engine.clock, core))
+            else:
+                heapq.heappop(ready)
         drain_finish = self.system.drain()
         total = max(max(e.clock for e in self.engines), drain_finish)
         latencies: List[float] = []
@@ -91,6 +103,7 @@ def simulate_multiprogrammed(
     base_config: Optional[SimConfig] = None,
     seed: int = 1,
     fidelity: str = "timing",
+    tracer=None,
 ) -> SimResult:
     """The Figure 14 kernel: N programs on N cores.
 
@@ -104,6 +117,7 @@ def simulate_multiprogrammed(
     ``fidelity`` mirrors :func:`~repro.sim.simulator.simulate_workload`:
     ``"timing"`` (default) skips functional byte work, ``"full"`` carries
     payloads through the crypto path; both produce identical timing/stats.
+    ``tracer`` is handed to the :class:`MulticoreSimulator`.
     """
     if isinstance(workload, str):
         if n_programs is None:
@@ -138,5 +152,5 @@ def simulate_multiprogrammed(
             track_payloads=cfg.functional,
         )
         traces.append(trace.ops)
-    sim = MulticoreSimulator(cfg, n_cores=n_programs)
+    sim = MulticoreSimulator(cfg, n_cores=n_programs, tracer=tracer)
     return sim.run(traces)

@@ -9,12 +9,15 @@ keys. ``hot_path=False`` keeps the reference model. Nothing about the
 * full simulations agree on every latency and every stats counter,
   including a WT 4096 B point that keeps the write queue at capacity
   (the regime that exercises the per-bank scan and make-space loops);
-* the scheduler's fast candidate scan picks the exact same entry as the
-  reference scan under randomized append/read/drain interleavings
-  (which also exercises the candidate-cache invalidation rules);
-* a non-monotone append sequence latches ``WriteQueue.enq_monotone``
-  and the scheduler falls back to the full scan — still matching the
-  reference.
+* 8-program multi-core runs agree the same way, with every core's
+  appends landing out of time order in the shared write queue;
+* the scheduler's per-bank candidate scan picks the exact same entry as
+  the reference scan under randomized append/read/drain interleavings
+  (which also exercises the candidate-cache invalidation rules), from
+  one core and from four cores with independent clocks, under every
+  drain policy, and for entries queued out of ``enq_time`` order. The
+  scan assumes only that every queued ``enq_time`` is at or below the
+  controller clock, which each multi-core step re-checks.
 """
 
 import dataclasses
@@ -22,12 +25,13 @@ import random
 
 import pytest
 
-from repro.common.config import SimConfig
+from repro.common.config import MemoryConfig, SimConfig
 from repro.common.stats import Stats
 from repro.core.schemes import Scheme
 from repro.experiments.common import experiment_base_config, get_scale
 from repro.memory.controller import MemoryController
 from repro.memory.write_queue import WQEntry
+from repro.sim.multicore import simulate_multiprogrammed
 from repro.sim.simulator import simulate_workload
 
 
@@ -73,8 +77,40 @@ class TestSimulationEquivalence:
         assert fast.stats.snapshot() == ref.stats.snapshot()
 
 
-def _controller():
-    return MemoryController(SimConfig(hot_path=True), Stats())
+class TestMulticoreEquivalence:
+    @pytest.mark.parametrize(
+        "scheme",
+        [Scheme.WT_BASE, Scheme.WT_CWC, Scheme.SUPERMEM, Scheme.SUPERMEM_BMT],
+    )
+    def test_hot_matches_reference(self, scheme):
+        fast, ref = (
+            simulate_multiprogrammed(
+                "hashtable",
+                scheme,
+                n_programs=8,
+                n_ops=12,
+                request_size=4096,
+                seed=1,
+                base_config=dataclasses.replace(
+                    experiment_base_config(get_scale("smoke")), hot_path=hot
+                ),
+            )
+            for hot in (True, False)
+        )
+        assert fast.total_time_ns == ref.total_time_ns
+        assert fast.txn_latencies == ref.txn_latencies
+        assert fast.stats.snapshot() == ref.stats.snapshot()
+
+
+def _controller(policy="defer-counters", cwc=False):
+    return MemoryController(
+        SimConfig(
+            memory=MemoryConfig(drain_policy=policy),
+            cwc_enabled=cwc,
+            hot_path=True,
+        ),
+        Stats(),
+    )
 
 
 def _assert_same_candidate(mc):
@@ -125,18 +161,108 @@ class TestCandidateScan:
         for _ in range(5):
             _assert_same_candidate(mc)
 
-    def test_non_monotone_appends_latch_fallback(self):
+    def test_out_of_order_appends_match_reference(self):
+        """Entries queued out of ``enq_time`` order, at reachable clocks.
+
+        Every queued ``enq_time`` stays at or below the clock, as the
+        controller guarantees. The second counter write on bank 3 carries
+        the earlier stamp, so while the FIFO-first one is held back the
+        scan must walk on to it.
+        """
         mc = _controller()
-        assert mc.wq.enq_monotone
-        # Bypass append_write (whose append times are monotone by
-        # construction) and enqueue out of time order directly.
-        mc.wq.append(WQEntry(line=1, bank=0, row=0, is_counter=False, enq_time=50.0))
-        mc.wq.append(WQEntry(line=2, bank=1, row=0, is_counter=False, enq_time=10.0))
-        mc.wq.append(WQEntry(line=3, bank=1, row=0, is_counter=True, enq_time=60.0))
-        assert not mc.wq.enq_monotone
-        for clock in (0.0, 20.0, 55.0, 80.0):
+        defer = mc._counter_defer_ns
+        mc.clock = 60.0
+        for line, bank, is_counter, enq_time in (
+            (1, 0, False, 50.0),
+            (2, 1, False, 10.0),
+            (3, 3, True, 60.0),
+            (4, 3, True, 20.0),
+        ):
+            mc.wq.append(
+                WQEntry(
+                    line=line,
+                    bank=bank,
+                    row=0,
+                    is_counter=is_counter,
+                    enq_time=enq_time,
+                )
+            )
+        for clock in (60.0, 80.0):
             mc.clock = clock
             _assert_same_candidate(mc)
-        # The latch is permanent: monotone appends do not clear it.
-        mc.wq.append(WQEntry(line=4, bank=2, row=0, is_counter=False, enq_time=70.0))
-        assert not mc.wq.enq_monotone
+        # Drop the data writes: the counters then compete alone, and the
+        # earlier-stamped one is released first.
+        for entry in [e for e in mc.wq if not e.is_counter]:
+            mc.wq.remove(entry)
+        _assert_same_candidate(mc)
+        assert mc._best_candidate()[1].line == 4
+        for clock in (20.0 + defer, 60.0 + defer, 1000.0):
+            mc.clock = clock
+            _assert_same_candidate(mc)
+        mc.wq.append(
+            WQEntry(line=5, bank=2, row=0, is_counter=False, enq_time=70.0)
+        )
+        _assert_same_candidate(mc)
+
+    @pytest.mark.parametrize("policy", ["defer-counters", "frfcfs", "fifo"])
+    def test_multicore_appends_match_reference(self, policy):
+        """Four cores with independent clocks drive one controller.
+
+        Cores behind the controller clock append, read and advance
+        through the public API, so appends reach the queue out of
+        ``enq_time`` order. After every mutation the per-bank scan must
+        equal the reference, and no queued entry may be stamped after
+        the controller clock.
+        """
+        for seed in range(40):
+            rng = random.Random(seed)
+            mc = _controller(policy, cwc=seed % 2 == 1)
+            n_banks = len(mc.banks)
+            clocks = [0.0] * 4
+            for _ in range(200):
+                core = rng.randrange(4)
+                t = clocks[core] + rng.choice((0.0, 1.0, 17.0, 361.0))
+                action = rng.randrange(5)
+                if action == 0:
+                    t = mc.append_write(t, rng.randrange(1024), core=core)
+                elif action == 1:
+                    line = 8192 + rng.randrange(32)
+                    t = mc.append_write(
+                        t,
+                        line,
+                        bank=line % n_banks,
+                        row=0,
+                        is_counter=True,
+                        core=core,
+                    )
+                elif action == 2:
+                    data = rng.randrange(1024)
+                    counter = 8192 + rng.randrange(32)
+                    t = mc.append_pair(
+                        t,
+                        WQEntry(
+                            line=data,
+                            bank=mc.amap.bank_of_line(data),
+                            row=0,
+                            is_counter=False,
+                            enq_time=t,
+                            core=core,
+                        ),
+                        WQEntry(
+                            line=counter,
+                            bank=counter % n_banks,
+                            row=0,
+                            is_counter=True,
+                            enq_time=t,
+                            core=core,
+                        ),
+                    )
+                elif action == 3:
+                    t = mc.read_fast(t, rng.randrange(1024))
+                else:
+                    mc.advance_to(t)
+                clocks[core] = t
+                assert all(entry.enq_time <= mc.clock for entry in mc.wq)
+                _assert_same_candidate(mc)
+            mc.drain_all()
+            assert len(mc.wq) == 0

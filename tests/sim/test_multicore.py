@@ -31,6 +31,27 @@ def test_interleaves_by_local_time():
     assert result.total_time_ns >= 1000.0
 
 
+def test_equal_clocks_step_in_core_index_order():
+    sim = MulticoreSimulator(make_cfg(), n_cores=3)
+    order = []
+
+    def logged(engine):
+        step = engine.step
+
+        def wrapper(op):
+            order.append(engine.core_id)
+            step(op)
+
+        return wrapper
+
+    for engine in sim.engines:
+        engine.step = logged(engine)
+    # Core 2 runs out first; cores 0 and 1 tie at every clock.
+    tick = (OP_COMPUTE, 10.0)
+    sim.run([[tick] * 3, [tick] * 3, [tick]])
+    assert order == [0, 1, 2, 0, 1, 0, 1]
+
+
 def test_txn_latencies_merged_across_cores():
     sim = MulticoreSimulator(make_cfg(), n_cores=2)
     trace = [(OP_TXN_BEGIN, 1), (OP_COMPUTE, 100.0), (OP_TXN_END, 1)]
