@@ -230,6 +230,8 @@ class SecureMemorySystem:
         self._tree_geom: Optional[TreeGeometry] = None
         #: Functional shadow of the on-chip tree state: tracks the root
         #: the hardware would hold after every persisted counter write.
+        #: Its hashing waits for the root read at crash() or
+        #: orderly_shutdown(), so a persist only records the leaf image.
         #: Timing-fidelity runs skip it (no payload bytes to hash) while
         #: charging identical latencies.
         self._it_shadow: Optional[MerkleCounterTree] = None

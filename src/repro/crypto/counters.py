@@ -37,6 +37,32 @@ from repro.common.errors import ConfigError
 #: Maximum value of a 7-bit minor counter.
 MINOR_COUNTER_MAX = (1 << 7) - 1
 
+_MASK64 = (1 << 64) - 1
+
+
+def _pack7_steps():
+    """Masks that squeeze 64 byte lanes of 7-bit minors to 448 bits.
+
+    Step ``k`` joins neighbouring groups of ``2**k`` lanes: each group
+    holds ``7 * 2**k`` data bits at the bottom of an ``8 * 2**k``-bit
+    field, so the upper group's data moves down by ``2**k`` bits to sit
+    right above the lower group's.
+    """
+    steps = []
+    for k in range(6):
+        field_bits, data_bits = 8 << k, 7 << k
+        low = 0
+        for base in range(0, 8 * LINES_PER_PAGE, 2 * field_bits):
+            low |= ((1 << data_bits) - 1) << base
+        steps.append((low, low << field_bits, 1 << k))
+    return tuple(steps)
+
+
+#: Low 7 bits of every byte lane of the 64-minor int.
+_LANES7 = int.from_bytes(b"\x7f" * LINES_PER_PAGE, "little")
+_PACK7_STEPS = _pack7_steps()
+_PACKED7_BYTES = 7 * LINES_PER_PAGE // 8
+
 
 @dataclass
 class CounterBlock:
@@ -125,24 +151,23 @@ class CounterBlock:
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise to the 64 B memory-line image stored in NVM."""
-        out = bytearray(struct.pack("<Q", self.major & ((1 << 64) - 1)))
+        """Serialise to the 64 B memory-line image stored in NVM.
+
+        The 7-bit packing is word-parallel: the 64 minors become one
+        512-bit int with a byte lane each, every lane is masked to its
+        low 7 bits, and :data:`_PACK7_STEPS` closes the one-bit gaps in
+        six halving steps, so a persist costs a handful of big-int ops.
+        Each minor must fit in a byte; only its low 7 bits are kept.
+        """
+        out = struct.pack("<Q", self.major & _MASK64)
         if self.minor_bits == 7:
-            bits = 0
-            nbits = 0
-            for minor in self.minors:
-                bits |= (minor & 0x7F) << nbits
-                nbits += 7
-                while nbits >= 8:
-                    out.append(bits & 0xFF)
-                    bits >>= 8
-                    nbits -= 8
-            if nbits:
-                out.append(bits & 0xFF)
-        else:
-            for minor in self.minors:
-                out += struct.pack("<H", minor)
-        return bytes(out)
+            bits = int.from_bytes(bytes(self.minors), "little") & _LANES7
+            for low, high, shift in _PACK7_STEPS:
+                bits = (bits & low) | ((bits & high) >> shift)
+            return out + bits.to_bytes(_PACKED7_BYTES, "little")
+        for minor in self.minors:
+            out += struct.pack("<H", minor)
+        return out
 
     @classmethod
     def from_bytes(cls, data: bytes, minor_bits: int = 7) -> "CounterBlock":

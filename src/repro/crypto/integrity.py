@@ -16,9 +16,9 @@ NVM stack:
   without breaking the hash.
 
 The tree is binary, built over the serialized counter-block images, and
-supports incremental updates (one leaf changes → log-depth path rehash),
-root extraction for the trusted register, and verification with an
-explicit audit path.
+supports incremental updates (a read rehashes only the paths of leaves
+written since the last read), root extraction for the trusted register,
+and verification with an explicit audit path.
 """
 
 from __future__ import annotations
@@ -61,6 +61,13 @@ class MerkleCounterTree:
     Leaves are hashes of serialized counter blocks; the root is held in a
     trusted on-chip register. ``n_leaves`` is rounded up to a power of
     two; absent leaves hash an empty-block marker.
+
+    Hashing is deferred to the first read after a write: updates only
+    record the latest image per leaf, and :attr:`root` or
+    :meth:`audit_path` hash each pending leaf once and then every dirty
+    internal node once per level. Every root, audit path and level is
+    the one eager leaf-to-root updates give, since only a leaf's latest
+    image reaches them. An empty tree costs one hash per level.
     """
 
     def __init__(self, n_leaves: int):
@@ -70,45 +77,43 @@ class MerkleCounterTree:
         while size < n_leaves:
             size *= 2
         self.n_leaves = size
-        self._empty = _h(b"empty-counter-block")
         # nodes[level][index]; level 0 = leaves, top level = root.
-        self._levels: List[List[bytes]] = []
-        level = [self._empty] * size
-        self._levels.append(level)
-        while len(level) > 1:
-            level = [
-                _h(level[2 * i] + level[2 * i + 1]) for i in range(len(level) // 2)
-            ]
-            self._levels.append(level)
+        node = _h(b"empty-counter-block")
+        self._levels: List[List[bytes]] = [[node] * size]
+        while size > 1:
+            size //= 2
+            node = _h(node + node)
+            self._levels.append([node] * size)
+        #: Leaf index -> latest unhashed counter-block image.
+        self._pending: Dict[int, bytes] = {}
 
     @property
     def root(self) -> bytes:
         """The trusted on-chip root."""
+        if self._pending:
+            self._flush()
         return self._levels[-1][0]
 
     @property
     def depth(self) -> int:
         return len(self._levels) - 1
 
-    def update_leaf(self, index: int, block_image: bytes) -> bytes:
-        """Install a new counter-block image; returns the new root.
+    def update_leaf(self, index: int, block_image: bytes) -> None:
+        """Install a new counter-block image; returns nothing.
 
-        Cost is one leaf hash plus ``depth`` internal rehashes — the
-        incremental update real hardware performs per counter write.
+        Costs no hash: the image waits until the next :attr:`root` or
+        :meth:`audit_path` read, which rehashes each dirty node once
+        however many updates reached it. Read :attr:`root` for the new
+        root.
         """
         self._check_index(index)
-        self._levels[0][index] = _h(block_image)
-        node = index
-        for level in range(1, len(self._levels)):
-            node //= 2
-            left = self._levels[level - 1][2 * node]
-            right = self._levels[level - 1][2 * node + 1]
-            self._levels[level][node] = _h(left + right)
-        return self.root
+        self._pending[index] = block_image
 
     def audit_path(self, index: int) -> List[Tuple[bytes, bool]]:
         """Sibling hashes from leaf to root: ``(hash, sibling_is_right)``."""
         self._check_index(index)
+        if self._pending:
+            self._flush()
         path = []
         node = index
         for level in range(self.depth):
@@ -116,6 +121,22 @@ class MerkleCounterTree:
             path.append((self._levels[level][sibling], sibling > node))
             node //= 2
         return path
+
+    def _flush(self) -> None:
+        """Hash the pending leaves, then each dirty ancestor level by level."""
+        levels = self._levels
+        below = levels[0]
+        dirty = set()
+        for index, image in self._pending.items():
+            below[index] = _h(image)
+            dirty.add(index >> 1)
+        self._pending = {}
+        for level in levels[1:]:
+            parents = set()
+            for node in dirty:
+                level[node] = _h(below[2 * node] + below[2 * node + 1])
+                parents.add(node >> 1)
+            below, dirty = level, parents
 
     @staticmethod
     def verify_path(

@@ -14,10 +14,11 @@ to a *timed, evaluated* scheme (``Scheme.SUPERMEM_BMT``):
 
 * :class:`CoalescedTreeModel` — the functional twin of the timed write
   path: a real :class:`~repro.crypto.integrity.MerkleCounterTree`
-  updated eagerly (so roots and verify outcomes are exact), with hash
-  work counted per the Freij-style walk — climb leaf→root through the
-  node cache and *stop at the first dirty cached ancestor*, whose
-  eventual rehash folds the pending update in.
+  (which defers its hashing to the next root or audit read, so roots
+  and verify outcomes are exact), with hash work counted per the
+  Freij-style walk — climb leaf→root through the node cache and *stop
+  at the first dirty cached ancestor*, whose eventual rehash folds the
+  pending update in.
 
 * :class:`NaiveTreeReference` — the retained full-path-update oracle:
   every counter write rehashes the entire leaf→root path. The
@@ -120,10 +121,11 @@ class NaiveTreeReference:
 class CoalescedTreeModel:
     """Node-cached, coalesced twin of :class:`NaiveTreeReference`.
 
-    Functionally identical (the underlying tree is updated eagerly, so
-    the root is always exact); only the *counted hash work* follows the
-    timed walk: stop at the first dirty cached ancestor, pay a fetch for
-    every cache miss, write back dirty victims.
+    Functionally identical (every root read flushes the underlying
+    tree's pending leaves, so the root is always exact); only the
+    *counted hash work* follows the timed walk: stop at the first dirty
+    cached ancestor, pay a fetch for every cache miss, write back dirty
+    victims.
     """
 
     def __init__(self, n_leaves: int, cache_config: Optional[CacheConfig] = None):

@@ -1,5 +1,8 @@
 """Tests for the split-counter and monolithic counter blocks."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -90,6 +93,53 @@ def test_serialization_roundtrip():
     parsed = CounterBlock.from_bytes(block.to_bytes())
     assert parsed.major == block.major
     assert parsed.minors == block.minors
+
+
+def _loop_to_bytes(block: CounterBlock) -> bytes:
+    """Bit-at-a-time 7-bit packing: the reference for ``to_bytes``."""
+    out = bytearray(struct.pack("<Q", block.major & ((1 << 64) - 1)))
+    bits = 0
+    nbits = 0
+    for minor in block.minors:
+        bits |= (minor & 0x7F) << nbits
+        nbits += 7
+        while nbits >= 8:
+            out.append(bits & 0xFF)
+            bits >>= 8
+            nbits -= 8
+    if nbits:
+        out.append(bits & 0xFF)
+    return bytes(out)
+
+
+def _edge_vectors():
+    yield [0] * LINES_PER_PAGE
+    yield [MINOR_COUNTER_MAX] * LINES_PER_PAGE
+    for slot in range(LINES_PER_PAGE):
+        for value in (1, 0x55, MINOR_COUNTER_MAX, 128, 255):
+            minors = [0] * LINES_PER_PAGE
+            minors[slot] = value
+            yield minors
+
+
+def test_to_bytes_matches_loop_on_edge_vectors():
+    """All zero, all 127, and one non-zero slot at every position
+    (including the loop's ``& 0x7F`` masking of 128..255)."""
+    for minors in _edge_vectors():
+        for major in (0, 1, (1 << 64) - 1, 1 << 64):
+            block = CounterBlock(major=major, minors=minors)
+            assert block.to_bytes() == _loop_to_bytes(block)
+
+
+def test_to_bytes_matches_loop_on_random_vectors():
+    rng = random.Random(15)
+    for i in range(2000):
+        top = 256 if i % 2 else MINOR_COUNTER_MAX + 1
+        block = CounterBlock(
+            major=rng.getrandbits(64),
+            minors=[rng.randrange(top) for _ in range(LINES_PER_PAGE)],
+        )
+        assert block.to_bytes() == _loop_to_bytes(block)
 
 
 def test_copy_is_independent():

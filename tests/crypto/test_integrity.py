@@ -1,12 +1,56 @@
 """Tests for the memory-authentication extension (MACs + Merkle tree)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigError, SecurityError
-from repro.crypto.integrity import IntegrityEngine, LineMAC, MerkleCounterTree
+from repro.crypto.integrity import (
+    IntegrityEngine,
+    LineMAC,
+    MerkleCounterTree,
+    _h,
+)
 
 CT = bytes(range(64))
+
+
+class _EagerTree:
+    """Reference tree: every update rehashes its leaf-to-root path."""
+
+    def __init__(self, n_leaves: int):
+        size = 1
+        while size < n_leaves:
+            size *= 2
+        level = [_h(b"empty-counter-block")] * size
+        self.levels = [level]
+        while len(level) > 1:
+            level = [
+                _h(level[2 * i] + level[2 * i + 1]) for i in range(len(level) // 2)
+            ]
+            self.levels.append(level)
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0]
+
+    def update_leaf(self, index: int, image: bytes) -> None:
+        self.levels[0][index] = _h(image)
+        node = index
+        for level in range(1, len(self.levels)):
+            node //= 2
+            below = self.levels[level - 1]
+            self.levels[level][node] = _h(below[2 * node] + below[2 * node + 1])
+
+    def audit_path(self, index: int):
+        path = []
+        node = index
+        for level in range(len(self.levels) - 1):
+            sibling = node ^ 1
+            path.append((self.levels[level][sibling], sibling > node))
+            node //= 2
+        return path
 
 
 class TestLineMAC:
@@ -186,6 +230,64 @@ class TestMerkleCounterTree:
             assert MerkleCounterTree.verify_path(
                 b"empty-counter-block", path, tree.root
             )
+
+
+class TestDeferredMatchesEager:
+    """The deferred tree equals leaf-to-root updates at every read."""
+
+    @pytest.mark.parametrize("n_leaves", [1, 5, 16, 8192])
+    def test_random_interleavings(self, n_leaves):
+        rng = random.Random(n_leaves)
+        tree = MerkleCounterTree(n_leaves)
+        ref = _EagerTree(n_leaves)
+        assert tree._levels == ref.levels
+        # A few hot leaves make most updates rewrite a pending leaf.
+        hot = [rng.randrange(tree.n_leaves) for _ in range(4)]
+        for step in range(600):
+            roll = rng.random()
+            if roll < 0.6:
+                index = (
+                    rng.choice(hot)
+                    if rng.random() < 0.5
+                    else rng.randrange(tree.n_leaves)
+                )
+                image = rng.randbytes(64)
+                assert tree.update_leaf(index, image) is None
+                ref.update_leaf(index, image)
+            elif roll < 0.8:
+                assert tree.root == ref.root
+                assert tree._levels == ref.levels
+            else:
+                index = rng.randrange(tree.n_leaves)
+                assert tree.audit_path(index) == ref.audit_path(index)
+                assert tree._levels == ref.levels
+        assert tree.root == ref.root
+        assert tree._levels == ref.levels
+
+    def test_reads_hash_each_dirty_node_once(self, monkeypatch):
+        """Repeated writes to a leaf cost one leaf hash and one hash per
+        dirty ancestor at the next read, and a clean read costs none."""
+        from repro.crypto import integrity
+
+        tree = MerkleCounterTree(16)
+        calls = []
+        real = integrity._h
+
+        def counting_h(data: bytes) -> bytes:
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(integrity, "_h", counting_h)
+        for i in range(5):
+            tree.update_leaf(3, bytes([i]) * 64)
+            tree.update_leaf(4, bytes([i]) * 64)
+        assert calls == []
+        tree.root
+        # 2 leaves, then levels 1..4: {1, 2}, {0, 1}, {0}, {0}.
+        assert len(calls) == 2 + 2 + 2 + 1 + 1
+        tree.audit_path(3)
+        tree.root
+        assert len(calls) == 8
 
 
 class TestIntegrityEngine:
