@@ -122,7 +122,7 @@ class CacheHierarchy:
         self._latencies_ns = [
             timing.cycles_to_ns(l1.latency_cycles),
             timing.cycles_to_ns(l2.latency_cycles),
-            timing.cycles_to_ns(shared_l3.config.latency_cycles if shared_l3 else l3.latency_cycles),
+            timing.cycles_to_ns(self.l3.config.latency_cycles),
         ]
         self._k_memory_writebacks = ("hierarchy", "memory_writebacks")
         self._k_clwb = ("hierarchy", "clwb")
@@ -267,6 +267,19 @@ class CacheHierarchy:
         for cache in self._levels:
             lost.extend(cache.flush_all())
         return sorted(set(lost))
+
+    @property
+    def walk_latencies_ns(self) -> Tuple[float, float, float]:
+        """SRAM latency of a walk that stops at L1, at L2 and at L3.
+
+        Summed level by level from 0.0 exactly as :meth:`access` sums
+        them, so a latency taken from here is bit-identical to the one a
+        walk reports.
+        """
+        l1, l2, l3 = self._latencies_ns
+        to_l1 = 0.0 + l1
+        to_l2 = to_l1 + l2
+        return to_l1, to_l2, to_l2 + l3
 
     @property
     def total_sram_latency_ns(self) -> float:

@@ -161,6 +161,49 @@ class ReplayOutcomes:
 HIERARCHY_STAT_NAMESPACES = ("l1", "l2", "l3", "hierarchy")
 
 
+# ----------------------------------------------------------------------
+# Private-level outcome streams (multi-core runs)
+# ----------------------------------------------------------------------
+#
+# Under a shared L3 the whole walk is no longer a function of one core's
+# ops, but its private half is: the hierarchy has no back-invalidation,
+# and an L3 hit only refreshes lines the L1/L2 miss-fills already
+# inserted. So one core's L1/L2 outcomes are recorded once per (trace,
+# L1/L2 geometry) and the shared-L3 steps run live in the recorded order.
+# Resolved per-op codes (fence/txn/compute reuse the ``BK_*`` values):
+PV_L1_HIT = 0  #: load/store served by L1
+PV_CLWB_DIRTY = 1  #: clwb with a dirty private copy (persist required)
+PV_L3 = 2  #: load/store that missed L2: the shared L3 decides
+PV_CLWB_PROBE = 7  #: clwb with clean private copies: the L3 copy decides
+PV_L2_HIT = 8  #: load/store served by L2
+PV_L2_HIT_VICTIMS = 9  #: L2 hit that sent dirty L2 victim(s) to L3
+PV_L3_VICTIMS = 10  #: L2 miss that sent dirty L2 victim(s) to L3
+
+
+class PrivateOutcomes:
+    """One core's recorded L1/L2 walk.
+
+    ``codes``
+        ``bytes`` of ``PV_*`` codes, index-aligned with the trace's
+        :class:`TraceArrays`. The SRAM latency of a load/store follows
+        from its code (L1, L1+L2 or L1+L2+L3 lookups).
+    ``victims``
+        Sparse map ``op index -> tuple of dirty L2 victims``, in the
+        order the walk installs them in L3 (before the op's L3 access).
+    ``stat_delta``
+        ``((namespace, counter), delta)`` over the ``l1``/``l2``
+        namespaces, unprefixed; the multi-core kernel adds its
+        ``core{i}.`` prefix when it applies the delta.
+    """
+
+    __slots__ = ("codes", "victims", "stat_delta")
+
+    def __init__(self, codes: bytes, victims: dict, stat_delta: tuple):
+        self.codes = codes
+        self.victims = victims
+        self.stat_delta = stat_delta
+
+
 def build_arrays(ops: Sequence[TraceOp]) -> TraceArrays:
     """Decode one op sequence into :class:`TraceArrays`.
 

@@ -15,14 +15,19 @@ SecureMemorySystem`:
 * **sfence** adds the fence cost (appends are already ordered here);
 * **txn markers** delimit per-transaction latency measurement.
 
-Two loops drive a core. :meth:`CoreEngine.step` executes one op at a
-time; the multi-programmed kernel interleaves cores through it, and
-``_step_ref`` is its reference oracle (``hot_path=False``). The batched
-loop, :meth:`CoreEngine.run_batched_replay`, drives the memory system
-from a hierarchy-outcome segment over pre-decoded op arrays. Recording
-(:meth:`CoreEngine.run_batched_record`) is a hierarchy-only walk that
-produces such a segment and then replays it, and
-:meth:`CoreEngine.run_batched` is a recording nobody keeps.
+Single-core batched runs go through :meth:`CoreEngine.run_batched_replay`,
+which drives the memory system from a hierarchy-outcome segment over
+pre-decoded op arrays. Recording (:meth:`CoreEngine.run_batched_record`)
+is a hierarchy-only walk that produces such a segment and then replays
+it, and :meth:`CoreEngine.run_batched` is a recording nobody keeps.
+
+Multi-core runs (:mod:`repro.sim.multicore`) interleave cores through
+generators that run one core until its clock passes a limit.
+:meth:`CoreEngine.interleave_replay` replays the core's recorded L1/L2
+walk (:func:`record_private_levels`) and walks only the shared L3 live;
+:meth:`CoreEngine.interleave_steps` runs :meth:`CoreEngine.step`, the
+scalar one-op step, or ``_step_ref``, its reference oracle
+(``hot_path=False``).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import List, Optional
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.sram import SetAssociativeCache
-from repro.common.config import SimConfig
+from repro.common.config import CacheConfig, SimConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import Stats
 from repro.core.system import SecureMemorySystem
@@ -47,7 +52,15 @@ from repro.sim.batch import (
     BK_MEM_MISS_WB,
     BK_TXN_BEGIN,
     BK_TXN_END,
+    PV_CLWB_DIRTY,
+    PV_CLWB_PROBE,
+    PV_L1_HIT,
+    PV_L2_HIT,
+    PV_L2_HIT_VICTIMS,
+    PV_L3,
+    PV_L3_VICTIMS,
     OutcomeSegment,
+    PrivateOutcomes,
 )
 from repro.txn.persist import (
     OP_CLWB,
@@ -376,3 +389,214 @@ class CoreEngine:
             start = stop
         self.clock = clock
         self._txn_start = txn_start
+
+    # ------------------------------------------------------------------
+    # Multi-core interleaving
+    # ------------------------------------------------------------------
+    #
+    # Both generators below are primed with ``next()`` and then resumed
+    # with ``send(limit)``: the core runs ops until its clock reaches
+    # ``limit`` with ops still left, yields that clock, and finishes
+    # (StopIteration) after its last op. The caller's heap loop picks the
+    # core and the limit (see :meth:`repro.sim.multicore.
+    # MulticoreSimulator.run`).
+
+    def interleave_steps(self, ops):
+        """Run ``ops`` through :meth:`step` (or ``_step_ref``) in turns."""
+        step = self.step
+        n = len(ops)
+        limit = yield
+        for i in range(n):
+            step(ops[i])
+            if self.clock >= limit and i + 1 < n:
+                limit = yield self.clock
+
+    def interleave_replay(self, arrays, private: PrivateOutcomes):
+        """Replay this core's recorded L1/L2 walk in turns; L3 runs live.
+
+        ``private`` is the :func:`record_private_levels` recording of
+        ``arrays``. Each load/store charges the SRAM latency its code
+        names; the shared-L3 steps the recording deferred run here, in
+        the order :meth:`CacheHierarchy.access` makes them: dirty L2
+        victims are installed in L3, then an L2 miss accesses L3, whose
+        miss becomes a memory read. Dirty lines L3 evicts are written
+        back after the read. A clwb cleans the L3 copy too, which
+        decides whether a clean private copy needs a persist. Memory
+        traffic goes through the float-returning persist/read bodies, so
+        the run is bit-identical to stepping the ops through
+        :meth:`step`.
+        """
+        args = arrays.args
+        payloads = arrays.payloads
+        n = arrays.n
+        codes = private.codes
+        victims = private.victims
+        l3 = self.hierarchy.l3
+        l3_access = l3.access
+        l3_fill = l3.fill
+        l3_clean = l3.clean
+        to_l1, to_l2, to_l3 = self.hierarchy.walk_latencies_ns
+        vals = self.stats.raw()
+        k_clwb = ("hierarchy", "clwb")
+        k_clwb_dirty = ("hierarchy", "clwb_dirty")
+        k_writebacks = ("hierarchy", "memory_writebacks")
+        core = self.core_id
+        cpu_op_ns = self._cpu_op_ns
+        clwb_issue_ns = self._clwb_issue_ns
+        sfence_ns = self._sfence_ns
+        txn_latencies = self.txn_latencies
+        tracer = self.tracer
+        tracer_enabled = tracer.enabled
+        measuring = self._measuring
+        read_line = self.system.read_line_fast
+        persist = self.system.persist_line_fast
+        clock = self.clock
+        txn_start = self._txn_start
+        limit = yield
+        for i in range(n):
+            code = codes[i]
+            if code == PV_L1_HIT:
+                clock += cpu_op_ns
+                clock += to_l1
+            elif code == PV_CLWB_DIRTY:
+                clock += clwb_issue_ns
+                line = args[i]
+                l3_clean(line)
+                vals[k_clwb] += 1
+                vals[k_clwb_dirty] += 1
+                durable = persist(
+                    clock, line, None if payloads is None else payloads[i], core
+                )
+                # Durability is append time (ADR); the core resumes once
+                # the line is accepted into the write queue.
+                if durable > clock:
+                    clock = durable
+            elif code == PV_L3:
+                clock += cpu_op_ns
+                clock += to_l3
+                line = args[i]
+                hit, evicted = l3_access(line, False)
+                if not hit:
+                    clock = read_line(clock, line, core)
+                if evicted is not None and evicted.dirty:
+                    vals[k_writebacks] += 1
+                    persist(clock, evicted.line, None, core, False)
+            elif code == BK_FENCE:
+                clock += sfence_ns
+            elif code == BK_TXN_BEGIN:
+                txn_start = clock
+            elif code == BK_TXN_END:
+                if txn_start is not None:
+                    if measuring:
+                        txn_latencies.append(clock - txn_start)
+                    if tracer_enabled:
+                        tracer.txn(txn_start, clock, core)
+                txn_start = None
+            elif code == BK_COMPUTE:
+                clock += args[i]
+            elif code == PV_CLWB_PROBE:
+                clock += clwb_issue_ns
+                line = args[i]
+                vals[k_clwb] += 1
+                if l3_clean(line):
+                    vals[k_clwb_dirty] += 1
+                    durable = persist(
+                        clock, line, None if payloads is None else payloads[i], core
+                    )
+                    if durable > clock:
+                        clock = durable
+            elif code == PV_L2_HIT:
+                clock += cpu_op_ns
+                clock += to_l2
+            else:  # PV_L2_HIT_VICTIMS / PV_L3_VICTIMS
+                clock += cpu_op_ns
+                writebacks = []
+                for victim in victims[i]:
+                    evicted = l3_fill(victim, True)
+                    if evicted is not None and evicted.dirty:
+                        writebacks.append(evicted.line)
+                if code == PV_L3_VICTIMS:
+                    clock += to_l3
+                    line = args[i]
+                    hit, evicted = l3_access(line, False)
+                    if evicted is not None and evicted.dirty:
+                        writebacks.append(evicted.line)
+                    if not hit:
+                        clock = read_line(clock, line, core)
+                else:
+                    clock += to_l2
+                # Dirty L3 evictions: asynchronous from the core's view
+                # and not crash-critical (persistent=False).
+                for victim in writebacks:
+                    vals[k_writebacks] += 1
+                    persist(clock, victim, None, core, False)
+            if clock >= limit and i + 1 < n:
+                self.clock = clock
+                limit = yield clock
+        self.clock = clock
+        self._txn_start = txn_start
+
+
+def record_private_levels(
+    arrays, l1: CacheConfig, l2: CacheConfig
+) -> PrivateOutcomes:
+    """Walk one core's private L1/L2 over ``arrays``, deferring L3.
+
+    The walk is :meth:`CacheHierarchy.access`/``clwb`` cut at L2: a dirty
+    L1 victim lands dirty in L2, a dirty L2 victim is noted for L3, and
+    an L2 miss is noted as an L3 access. Cutting there is exact under a
+    shared L3: the hierarchy has no back-invalidation, and an L3 hit only
+    refreshes lines the L1/L2 miss-fills already inserted (its fills find
+    them resident, most recent, with the same dirty bit). So the L1/L2
+    stream depends only on this core's own program order, and
+    :meth:`CoreEngine.interleave_replay` can run the L3 steps later in
+    the recorded per-op order.
+    """
+    stats = Stats()
+    l1_cache = SetAssociativeCache(l1, stats, "l1")
+    l2_cache = SetAssociativeCache(l2, stats, "l2")
+    l1_access = l1_cache.access
+    l1_clean = l1_cache.clean
+    l2_access = l2_cache.access
+    l2_fill = l2_cache.fill
+    l2_clean = l2_cache.clean
+    kinds = arrays.kinds
+    args = arrays.args
+    n = arrays.n
+    store_k = OP_STORE
+    clwb_k = OP_CLWB
+    other = _OTHER_OUTCOME
+    codes = bytearray(n)  # zero-filled: PV_L1_HIT
+    victims = {}
+    for i in range(n):
+        kind = kinds[i]
+        if kind <= store_k:  # OP_LOAD or OP_STORE
+            line = args[i]
+            hit, evicted = l1_access(line, kind == store_k)
+            if hit:
+                continue
+            out = None
+            if evicted is not None and evicted.dirty:
+                evicted = l2_fill(evicted.line, True)
+                if evicted is not None and evicted.dirty:
+                    out = [evicted.line]
+            hit, evicted = l2_access(line, False)
+            if evicted is not None and evicted.dirty:
+                if out is None:
+                    out = [evicted.line]
+                else:
+                    out.append(evicted.line)
+            if out is None:
+                codes[i] = PV_L2_HIT if hit else PV_L3
+            else:
+                victims[i] = tuple(out)
+                codes[i] = PV_L2_HIT_VICTIMS if hit else PV_L3_VICTIMS
+        elif kind == clwb_k:
+            line = args[i]
+            dirty = l1_clean(line)
+            dirty = l2_clean(line) or dirty
+            codes[i] = PV_CLWB_DIRTY if dirty else PV_CLWB_PROBE
+        else:  # build_arrays rejects anything else
+            codes[i] = other[kind]
+    delta = tuple((key, value) for key, value in stats.raw().items() if value)
+    return PrivateOutcomes(bytes(codes), victims, delta)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim import outcome_store as _outcome_store
 from repro.sim.batch import TraceArrays, build_arrays
@@ -185,10 +185,11 @@ def outcome_stats() -> Tuple[int, int]:
     """Hierarchy outcome-stream cache ``(hits, misses)`` since :func:`clear`.
 
     A *hit* means a replay reused a recorded cache-walk outcome stream
-    (:func:`trace_outcomes`) — whether from this process's attached
+    (:func:`trace_outcomes`, or a core's private-level recording from
+    :func:`private_outcomes`) — whether from this process's attached
     recordings or loaded from the on-disk store; a *miss* means the run
-    had to walk (and record) the hierarchy itself. A six-scheme sweep
-    over one trace records once and hits five times.
+    had to walk (and record) the hierarchy itself. A seven-scheme sweep
+    over one trace records once and hits six times.
     """
     return _outcome_hits, _outcome_misses
 
@@ -245,6 +246,36 @@ def store_trace_outcomes(trace: GeneratedTrace, cache_sig: Tuple, outcomes) -> N
     digest = getattr(trace, "store_digest", None)
     if _store is not None and digest is not None:
         _store.save_outcomes(digest, cache_sig, outcomes)
+
+
+def private_outcomes(trace: GeneratedTrace, geometry: Tuple, record: Callable):
+    """One core's recorded L1/L2 walk of ``trace`` under ``geometry``.
+
+    The multi-core twin of :func:`trace_outcomes`: ``geometry`` is the
+    private-cache key ``("private", l1, l2)`` and ``record()`` walks the
+    private levels on a miss (see
+    :func:`repro.sim.engine.record_private_levels`). Recordings are
+    attached to the trace beside the whole-hierarchy ones, so
+    :func:`clear` and :func:`clear_outcomes` drop them too, and lookups
+    count in :func:`outcome_stats`. They stay in this process: the
+    on-disk store keeps no private recordings.
+    """
+    global _outcome_hits, _outcome_misses
+    if not _enabled:
+        _outcome_misses += 1
+        return record()
+    attached = trace.replay_outcomes
+    outcomes = None if attached is None else attached.get(geometry)
+    if outcomes is not None:
+        _outcome_hits += 1
+        return outcomes
+    _outcome_misses += 1
+    outcomes = record()
+    if attached is None:
+        attached = {}
+        trace.replay_outcomes = attached
+    attached[geometry] = outcomes
+    return outcomes
 
 
 def warmup_trace_arrays(trace: GeneratedTrace) -> TraceArrays:

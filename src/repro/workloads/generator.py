@@ -92,8 +92,11 @@ class GeneratedTrace:
     replay_arrays: object = field(default=None, repr=False, compare=False)
     warmup_replay_arrays: object = field(default=None, repr=False, compare=False)
     #: Lazily-recorded hierarchy outcome streams
-    #: (:class:`repro.sim.batch.ReplayOutcomes`) keyed by cache geometry;
-    #: populated by :func:`repro.sim.trace_cache.store_trace_outcomes`.
+    #: (:class:`repro.sim.batch.ReplayOutcomes`) keyed by cache geometry,
+    #: populated by :func:`repro.sim.trace_cache.store_trace_outcomes`,
+    #: beside multi-core private L1/L2 recordings
+    #: (:class:`repro.sim.batch.PrivateOutcomes`) from
+    #: :func:`repro.sim.trace_cache.private_outcomes`.
     #: The CPU cache walk is scheme-independent, so one recording serves
     #: every scheme of a sweep. Pure derived data, excluded from equality.
     replay_outcomes: object = field(default=None, repr=False, compare=False)

@@ -138,3 +138,32 @@ def test_shared_l3_between_cores():
 def test_total_sram_latency():
     h, _ = small_hierarchy()
     assert h.total_sram_latency_ns == pytest.approx(24.0)
+
+
+def test_shared_l3_bills_its_own_latency():
+    """An empty shared L3 is falsy (``__len__`` is 0); its latency, not
+    the ``l3`` argument's, must still be billed."""
+    shared = SetAssociativeCache(
+        CacheConfig(size=16 * 64, assoc=16, latency_cycles=90), Stats(), "l3"
+    )
+    h = CacheHierarchy(
+        l1=CacheConfig(size=4 * 64, assoc=4, latency_cycles=2),
+        l2=CacheConfig(size=8 * 64, assoc=8, latency_cycles=16),
+        l3=CacheConfig(size=16 * 64, assoc=16, latency_cycles=30),
+        timing=TimingConfig(),
+        stats=Stats(),
+        shared_l3=shared,
+    )
+    # 2+16+90 cycles at 2 GHz = 54 ns, billed by a cold miss.
+    assert h.total_sram_latency_ns == pytest.approx(54.0)
+    assert h.read(0).latency_ns == h.walk_latencies_ns[2] == pytest.approx(54.0)
+
+
+def test_walk_latencies_match_the_walk_bit_for_bit():
+    h, _ = small_hierarchy()
+    to_l1, to_l2, to_l3 = h.walk_latencies_ns
+    assert h.read(0).latency_ns == to_l3  # cold: all three lookups
+    assert h.read(0).latency_ns == to_l1
+    for line in range(1, 5):  # push line 0 out of the 4-line L1 only
+        h.read(line)
+    assert h.read(0).latency_ns == to_l2

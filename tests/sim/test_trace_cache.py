@@ -108,3 +108,48 @@ def test_simulation_results_identical_with_and_without_cache():
         assert a.total_time_ns == b.total_time_ns
         assert a.txn_latencies == b.txn_latencies
         assert a.stats.snapshot() == b.stats.snapshot()
+
+
+def _multicore_point(scheme):
+    from repro.sim.multicore import simulate_multiprogrammed
+
+    return simulate_multiprogrammed(
+        "queue", scheme, n_programs=3, n_ops=4, request_size=256, seed=2
+    )
+
+
+def test_second_multicore_scheme_records_nothing(monkeypatch):
+    """Every scheme after the first replays the cores' L1/L2 recordings."""
+    from repro.sim import multicore
+
+    calls = []
+    record = multicore.record_private_levels
+
+    def counting(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(multicore, "record_private_levels", counting)
+    first = _multicore_point(Scheme.SUPERMEM)
+    assert len(calls) == 3
+    assert trace_cache.outcome_stats() == (0, 3)
+    _multicore_point(Scheme.WT_CWC)
+    assert len(calls) == 3
+    assert trace_cache.outcome_stats() == (3, 3)
+    # A replayed point is the recorded one, bit for bit.
+    again = _multicore_point(Scheme.SUPERMEM)
+    assert again.total_time_ns == first.total_time_ns
+    assert again.txn_latencies == first.txn_latencies
+    assert again.stats.snapshot() == first.stats.snapshot()
+
+
+@pytest.mark.parametrize("drop", ["clear", "clear_outcomes"])
+def test_clearing_drops_multicore_recordings(drop):
+    _multicore_point(Scheme.SUPERMEM)
+    traces = list(trace_cache._cache.values())
+    assert all(trace.replay_outcomes for trace in traces)
+    getattr(trace_cache, drop)()
+    assert all(trace.replay_outcomes is None for trace in traces)
+    assert trace_cache.outcome_stats() == (0, 0)
+    _multicore_point(Scheme.SUPERMEM)
+    assert trace_cache.outcome_stats() == (0, 3)
