@@ -35,7 +35,7 @@ def run_mode(mode: str):
 
     cfg = dataclasses.replace(
         scheme_config(Scheme.SUPERMEM, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
     stats = Stats()
     system = SecureMemorySystem(cfg, stats=stats)

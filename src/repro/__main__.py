@@ -132,13 +132,7 @@ def _sweep_flags() -> argparse.ArgumentParser:
     """The sweep-runner flags ``run`` and ``tune`` share (a parent
     parser; :func:`_sweep_session` applies them)."""
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N",
-        help="worker processes for the sweep ('auto' = CPU count; "
-        "default 1 = serial; results are bit-identical at any count)",
-    )
+    _add_jobs_flag(flags, "1", "the sweep")
     flags.add_argument(
         "--resume",
         default=None,
@@ -170,9 +164,8 @@ def _sweep_flags() -> argparse.ArgumentParser:
         help="publish live fleet metrics (and repro_tune_* metrics under "
         "tune) while sweeping: a periodic status line on stderr, a JSONL "
         "snapshot/event stream, and a Prometheus text snapshot file "
-        "(paths derive from --resume, else 'sweep.*'; serve the .prom "
-        "file with `repro serve-metrics`, analyse the stream with "
-        "`repro sweep-report`)",
+        "(paths derive from --resume, else 'sweep.*'; analyse the "
+        "stream with `repro sweep-report`)",
     )
     flags.add_argument(
         "--live-interval",
@@ -181,17 +174,48 @@ def _sweep_flags() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="seconds between --live status/snapshot emissions (default 2)",
     )
-    flags.add_argument(
+    _add_outcome_store_flag(
+        flags,
+        "shares generated traces and recorded cache-walk outcome streams "
+        "across processes: a 4-job sweep (or a second invocation) records "
+        "each (trace, geometry) once fleet-wide, with bit-identical results",
+    )
+    return flags
+
+
+def _add_jobs_flag(parser: argparse.ArgumentParser, default: str, role: str) -> None:
+    """Declare ``--jobs`` (parsed by :func:`_parse_jobs`) on one command."""
+    parser.add_argument(
+        "--jobs",
+        default=default,
+        metavar="N",
+        help=f"worker processes for {role} ('auto' = CPU count; default "
+        f"{default}; results are bit-identical at any count)",
+    )
+
+
+def _add_fidelity_flag(parser: argparse.ArgumentParser, note: str = "") -> None:
+    """Declare ``--fidelity`` (``SimConfig.fidelity``) on one command."""
+    parser.add_argument(
+        "--fidelity",
+        choices=("timing", "full"),
+        default="timing",
+        help="simulation fidelity: 'timing' (default) skips functional "
+        "byte-level crypto/NVM payloads for speed; 'full' carries payloads "
+        f"end to end — results are bit-identical either way{note}",
+    )
+
+
+def _add_outcome_store_flag(parser: argparse.ArgumentParser, role: str) -> None:
+    """Declare ``--outcome-store`` (an on-disk
+    :class:`~repro.sim.outcome_store.OutcomeStore`) on one command."""
+    parser.add_argument(
         "--outcome-store",
         default=None,
         metavar="DIR",
-        help="share generated traces and recorded cache-walk outcome "
-        "streams across processes through an on-disk store: a 4-job "
-        "sweep (or a second invocation) records each (trace, geometry) "
-        "once fleet-wide, with bit-identical results (inspect the store "
-        "with `repro cache`)",
+        help=f"directory of an on-disk outcome store that {role} (inspect "
+        "the store with `repro cache`)",
     )
-    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,15 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also export the raw experiment points as JSON (single experiment only)",
     )
-    run_parser.add_argument(
-        "--fidelity",
-        choices=("timing", "full"),
-        default="timing",
-        help="simulation fidelity for sweep experiments: 'timing' (default) "
-        "skips functional byte-level crypto/NVM payloads for speed; 'full' "
-        "carries payloads end to end — results are bit-identical either way "
-        "(crash/recovery experiments always run full)",
-    )
+    _add_fidelity_flag(run_parser, " (crash/recovery experiments always run full)")
 
     bench_parser = sub.add_parser(
         "bench-sweep",
@@ -250,23 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="smoke",
         help="run size preset (default: smoke)",
     )
-    bench_parser.add_argument(
-        "--jobs",
-        default="4",
-        metavar="N",
-        help="worker processes for the parallel leg ('auto' = CPU count; default 4)",
-    )
+    _add_jobs_flag(bench_parser, "4", "the parallel leg")
     bench_parser.add_argument(
         "--output",
         default="BENCH_SWEEP.json",
         help="JSON output path (default: BENCH_SWEEP.json)",
     )
-    bench_parser.add_argument(
-        "--outcome-store",
-        default=None,
-        metavar="DIR",
-        help="directory for the shared-record/shared-outcomes legs' "
-        "on-disk outcome store (default: a per-run temp directory)",
+    _add_outcome_store_flag(
+        bench_parser,
+        "the shared-record/shared-outcomes legs use; default: a per-run "
+        "temp directory",
     )
 
     cache_parser = sub.add_parser(
@@ -319,13 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_parser.add_argument("--request-size", type=int, default=1024)
     sim_parser.add_argument("--footprint", type=int, default=4 << 20)
     sim_parser.add_argument("--seed", type=int, default=1)
-    sim_parser.add_argument(
-        "--fidelity",
-        choices=("timing", "full"),
-        default="timing",
-        help="'timing' (default) skips functional byte work; 'full' runs "
-        "the byte-level crypto path — identical timing/stats either way",
-    )
+    _add_fidelity_flag(sim_parser)
     sim_parser.add_argument(
         "--profile", action="store_true", help="print the bank/WQ profile"
     )
@@ -408,21 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the recovery phases as Chrome trace-event JSON",
-    )
-
-    serve_parser = sub.add_parser(
-        "serve-metrics",
-        help="serve a Prometheus .prom snapshot file over HTTP (stdlib only)",
-    )
-    serve_parser.add_argument(
-        "prom_file",
-        help="snapshot file a `run --live` sweep rewrites (e.g. sweep.prom)",
-    )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=9464, help="bind port (default 9464; 0 = ephemeral)"
     )
 
     sweep_report_parser = sub.add_parser(
@@ -569,9 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     surrogate_parser.add_argument(
         "--scale", default="smoke", help="experiment scale of the grid"
     )
-    surrogate_parser.add_argument(
-        "--jobs", default="1", help="worker processes for the fit sweep"
-    )
+    _add_jobs_flag(surrogate_parser, "1", "the fit/validate sweep")
     surrogate_parser.add_argument(
         "--model",
         default="surrogate.json",
@@ -616,10 +602,6 @@ def main(argv=None) -> int:
         return _cmd_bench_sweep(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "serve-metrics":
-        from repro.obs.promserve import serve_metrics
-
-        return serve_metrics(args.prom_file, host=args.host, port=args.port)
     if args.command == "sweep-report":
         from repro.experiments.sweep_report import render_sweep_report_file
 

@@ -333,26 +333,25 @@ class SimConfig:
     #: recovery re-derives lost counters by trial decryption against a
     #: per-line ECC/MAC check. 0 = strict persistence (disabled).
     osiris_stop_loss: int = 0
-    #: Store actual bytes (functional mode). Timing-only runs skip payload
-    #: encryption for speed but still model every latency.
-    functional: bool = True
-    #: Simulation fidelity. ``"full"`` keeps byte-level crypto and NVM
-    #: payload storage available (the ``functional`` knob then decides
-    #: whether traces actually carry payloads). ``"timing"`` skips all
-    #: functional byte work — no pad generation, no XOR, no DurableImage
-    #: mutation — while charging identical latencies, so Stats/SimResult
-    #: are byte-for-byte the same as a ``"full"`` run of the same trace
-    #: (asserted by ``tests/sim/test_fidelity.py``). ``"timing"`` forces
-    #: ``functional`` off; crash/recovery/Table-1 harnesses force
-    #: ``"full"`` because they audit recovered plaintext.
+    #: Simulation fidelity. ``"full"`` carries byte-level crypto and NVM
+    #: payloads end to end. ``"timing"`` skips all functional byte work —
+    #: no pad generation, no XOR, no DurableImage mutation — while
+    #: charging identical latencies, so Stats/SimResult are byte-for-byte
+    #: the same as a ``"full"`` run of the same trace (asserted by
+    #: ``tests/sim/test_fidelity.py``). Crash/recovery/Table-1 harnesses
+    #: force ``"full"`` because they audit recovered plaintext.
     fidelity: str = "full"
+    #: Store actual bytes: derived, ``fidelity == "full"``. Not settable,
+    #: so ``dataclasses.replace(cfg, fidelity=...)`` can never carry a
+    #: stale value across a fidelity change.
+    functional: bool = field(init=False)
     #: Select the optimized hot-path implementations (flattened cache
     #: walk, early-exit drain-candidate scan, pad memo). ``False`` runs
     #: the retained reference implementations — bit-identical results
     #: (asserted by ``tests/sim/test_hotpath.py``), used as the
     #: differential-testing oracle and the ``serial`` benchmark baseline.
     hot_path: bool = True
-    #: Replay traces through the chunked batched loop
+    #: Replay traces through the batched loop
     #: (:meth:`repro.sim.engine.CoreEngine.run_batched` over the flat op
     #: arrays of :mod:`repro.sim.batch`) instead of the per-op scalar
     #: ``step`` dispatch. Bit-identical results (asserted by
@@ -375,10 +374,7 @@ class SimConfig:
             raise ConfigError(
                 f"fidelity must be 'full' or 'timing', got {self.fidelity!r}"
             )
-        if self.fidelity == "timing" and self.functional:
-            # Timing fidelity is exactly "functional byte work off"; make
-            # the coupling structural so the two knobs cannot disagree.
-            object.__setattr__(self, "functional", False)
+        object.__setattr__(self, "functional", self.fidelity == "full")
 
     def address_map(self) -> AddressMap:
         """Shortcut for ``self.memory.address_map()``."""

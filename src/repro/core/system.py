@@ -163,9 +163,6 @@ class CounterStore:
         else:
             self._blocks[key] = MonolithicCounterBlock.from_bytes(image)
 
-    def known_blocks(self) -> Dict[int, object]:
-        return dict(self._blocks)
-
 
 class SecureMemorySystem:
     """Everything below the CPU caches, for one scheme configuration."""
@@ -564,7 +561,7 @@ class SecureMemorySystem:
         if count >= stop_loss:
             count = 0
             entry = self._counter_entry(
-                line, block_key, payload_wanted=self.config.functional
+                line, block_key, payload_wanted=self._functional
             )
             self.controller.append_write(
                 t,

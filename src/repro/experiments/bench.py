@@ -28,7 +28,7 @@ convention). Legs, in execution order:
     default — pure instrumentation overhead. CI caps the
     ``metrics_overhead`` ratio at 1.05 (metrics cost under 5%).
 ``batched-replay``
-    The full production configuration (``batched_replay=True``): chunked
+    The full production configuration (``batched_replay=True``): flat
     array replay plus recorded hierarchy-outcome reuse across the
     schemes of each cell. Recorded outcome streams from earlier legs are
     dropped first, so this leg honestly pays its own one-recording-in-
@@ -62,8 +62,7 @@ the schema ``{name, scale, jobs, wall_s, points, runner}`` where
 accounting of that leg; the ``speedup`` block reports the headline
 ratios.
 
-Run via ``python -m repro bench-sweep`` or
-``python benchmarks/bench_wallclock.py``.
+Run via ``python -m repro bench-sweep``.
 """
 
 from __future__ import annotations

@@ -119,11 +119,6 @@ def set_default_outcome_store(path: Optional[str]) -> None:
     _default_outcome_store = os.path.abspath(path) if path else None
 
 
-def default_outcome_store() -> Optional[str]:
-    """The process-default outcome-store path, if one is set."""
-    return _default_outcome_store
-
-
 def experiment_base_config(
     scale: Scale,
     write_queue_entries: int = 32,

@@ -511,11 +511,6 @@ def set_default_policy(policy: RunnerPolicy) -> None:
     _default_policy = policy
 
 
-def default_policy() -> RunnerPolicy:
-    """The currently installed default :class:`RunnerPolicy`."""
-    return _default_policy
-
-
 def last_report() -> Optional[RunnerReport]:
     """The :class:`RunnerReport` of the most recent sweep, if any."""
     return _last_report

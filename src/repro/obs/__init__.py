@@ -27,9 +27,8 @@ dynamics without perturbing them:
   Prometheus text exposition, and a zero-overhead
   :data:`~repro.obs.metrics.NULL_METRICS` default mirroring
   ``NULL_TRACER``. The sweep runner is its first client.
-* :mod:`~repro.obs.live` / :mod:`~repro.obs.promserve` — the ``--live``
-  periodic status reporter (JSONL snapshot stream + ``.prom`` file) and
-  the ``repro serve-metrics`` HTTP endpoint over that file.
+* :mod:`~repro.obs.live` — the ``--live`` periodic status reporter
+  (JSONL snapshot stream + ``.prom`` file).
 
 Nothing in the timing model reads tracer state; tracing can never change
 a result.

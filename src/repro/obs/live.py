@@ -11,9 +11,8 @@ experiment sweep. Every ``interval_s`` wall-clock seconds it
 * appends a full registry snapshot to the metrics JSONL stream riding
   alongside the sweep journal (``kind="snapshot"`` records that
   ``repro sweep-report`` reads back); and
-* atomically rewrites the Prometheus text snapshot file that
-  ``repro serve-metrics`` serves, so an external scraper watching a
-  long sweep sees it move.
+* atomically rewrites the Prometheus text snapshot file, so an
+  external scraper reading that file during a long sweep sees it move.
 
 The thread only *reads* the registry (plain attribute loads under the
 GIL), so it can never perturb the sweep — worst case a status line is

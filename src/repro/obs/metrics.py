@@ -25,8 +25,7 @@ tracer's rules:
   module-level :func:`prometheus_text` over a snapshot) emit the standard
   ``text/plain; version=0.0.4`` format — ``# HELP`` / ``# TYPE`` comments,
   escaped labels, cumulative ``_bucket``/``_sum``/``_count`` histogram
-  series — validated by ``tools/check_prom_format.py`` in CI and served
-  by ``repro serve-metrics``.
+  series — validated by ``tools/check_prom_format.py`` in CI.
 
 An optional :class:`MetricsStream` attached to the registry gives the
 sweep runner a JSONL event channel alongside the journal (per-point
@@ -468,8 +467,8 @@ def snapshot_value(
 def write_prometheus_file(snapshot: Dict[str, object], path: str) -> None:
     """Atomically write a snapshot's exposition text to ``path``.
 
-    Written via a temp file + rename so ``repro serve-metrics`` (or any
-    scraper tailing the file) never reads a half-written snapshot.
+    Written via a temp file + rename so a scraper reading the file never
+    sees a half-written snapshot.
     """
     text = prometheus_text(snapshot)
     tmp = f"{path}.tmp.{os.getpid()}"

@@ -6,8 +6,8 @@ to replay: every op pays tuple indexing, a bound-method call, and a
 .step`. This module decodes a trace *once* into parallel flat arrays —
 one ``bytes`` of op kinds plus one list of per-op arguments (line index,
 compute nanoseconds, or transaction id) and an optional payload list —
-that :meth:`~repro.sim.engine.CoreEngine.run_batched` consumes in chunks
-with every per-op attribute lookup hoisted out of the inner loop.
+that :meth:`~repro.sim.engine.CoreEngine.run_batched` consumes with
+every per-op attribute lookup hoisted out of the inner loop.
 
 The decode is cached alongside the trace by :mod:`repro.sim.trace_cache`
 (one decode per process per trace, like trace generation itself), so a
@@ -18,7 +18,7 @@ Decoding is purely structural — no timing state — so sharing
 :class:`TraceArrays` across simulator instances is as sound as sharing
 the trace tuples themselves. Replay through the arrays is **bit-identical**
 to the scalar path (``tests/sim/test_batch.py`` differential-tests it
-across schemes, fidelities, and chunk sizes).
+across schemes and fidelities).
 """
 
 from __future__ import annotations

@@ -242,12 +242,12 @@ class CoreEngine:
         for op in ops:
             step(op)
 
-    def run_batched(self, arrays, chunk: int = 1024) -> None:
-        """Replay pre-decoded :class:`~repro.sim.batch.TraceArrays` in
-        chunks of ``chunk`` ops: a recording nobody keeps."""
-        self.run_batched_record(arrays, chunk)
+    def run_batched(self, arrays) -> None:
+        """Replay pre-decoded :class:`~repro.sim.batch.TraceArrays`: a
+        recording nobody keeps."""
+        self.run_batched_record(arrays)
 
-    def run_batched_record(self, arrays, chunk: int = 1024) -> OutcomeSegment:
+    def run_batched_record(self, arrays) -> OutcomeSegment:
         """Replay ``arrays``, returning the hierarchy outcomes it walked.
 
         The cache hierarchy is walked over the whole segment first, one
@@ -259,8 +259,6 @@ class CoreEngine:
         order of an interleaved walk. The returned segment replays these
         arrays under any scheme with the same cache geometry.
         """
-        if chunk < 1:
-            raise SimulationError(f"chunk must be >= 1, got {chunk}")
         kinds = arrays.kinds
         args = arrays.args
         n = arrays.n
@@ -287,10 +285,10 @@ class CoreEngine:
             else:  # build_arrays rejects anything else
                 codes[i] = other[kind]
         segment = OutcomeSegment(bytes(codes), lats, wbs)
-        self.run_batched_replay(arrays, segment, chunk)
+        self.run_batched_replay(arrays, segment)
         return segment
 
-    def run_batched_replay(self, arrays, segment, chunk: int = 1024) -> None:
+    def run_batched_replay(self, arrays, segment) -> None:
         """Replay a recorded hierarchy-outcome ``segment`` over ``arrays``.
 
         The cache walk is skipped entirely: each op's resolved kind, SRAM
@@ -304,13 +302,10 @@ class CoreEngine:
 
         This is the one op loop of every batched run: everything per-op
         is hoisted (no method dispatch, no tuple indexing, the clock in a
-        local published at chunk boundaries), memory traffic goes through
-        the float-returning bodies of
-        :class:`~repro.core.system.SecureMemorySystem`, and results are
-        bit-identical for every chunk size (``tests/sim/test_batch.py``).
+        local published at the end), and memory traffic goes through the
+        float-returning bodies of
+        :class:`~repro.core.system.SecureMemorySystem`.
         """
-        if chunk < 1:
-            raise SimulationError(f"chunk must be >= 1, got {chunk}")
         if segment.kinds is not None and len(segment.kinds) != arrays.n:
             raise SimulationError(
                 "outcome segment does not match op arrays "
@@ -334,59 +329,52 @@ class CoreEngine:
         persist = self.system.persist_line_fast
         clock = self.clock
         txn_start = self._txn_start
-        start = 0
-        while start < n:
-            stop = start + chunk
-            if stop > n:
-                stop = n
-            for i in range(start, stop):
-                kind = bkinds[i]
-                if kind == BK_MEM_HIT:
-                    clock += cpu_op_ns
-                    clock += lats[i]
-                elif kind == BK_CLWB_DIRTY:
-                    clock += clwb_issue_ns
-                    durable = persist(
-                        clock,
-                        args[i],
-                        None if payloads is None else payloads[i],
-                        core,
-                    )
-                    # Durability is append time (ADR); the core resumes
-                    # once the line is accepted into the write queue.
-                    if durable > clock:
-                        clock = durable
-                elif kind == BK_MEM_MISS:
-                    clock += cpu_op_ns
-                    clock += lats[i]
+        for i in range(n):
+            kind = bkinds[i]
+            if kind == BK_MEM_HIT:
+                clock += cpu_op_ns
+                clock += lats[i]
+            elif kind == BK_CLWB_DIRTY:
+                clock += clwb_issue_ns
+                durable = persist(
+                    clock,
+                    args[i],
+                    None if payloads is None else payloads[i],
+                    core,
+                )
+                # Durability is append time (ADR); the core resumes
+                # once the line is accepted into the write queue.
+                if durable > clock:
+                    clock = durable
+            elif kind == BK_MEM_MISS:
+                clock += cpu_op_ns
+                clock += lats[i]
+                clock = read_line(clock, args[i], core)
+            elif kind == BK_FENCE:
+                clock += sfence_ns
+            elif kind == BK_TXN_BEGIN:
+                txn_start = clock
+            elif kind == BK_TXN_END:
+                if txn_start is not None:
+                    if measuring:
+                        txn_latencies.append(clock - txn_start)
+                    if tracer_enabled:
+                        tracer.txn(txn_start, clock, core)
+                txn_start = None
+            elif kind == BK_COMPUTE:
+                clock += args[i]
+            elif kind == BK_CLWB_CLEAN:
+                clock += clwb_issue_ns
+            else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
+                clock += cpu_op_ns
+                clock += lats[i]
+                if kind == BK_MEM_MISS_WB:
                     clock = read_line(clock, args[i], core)
-                elif kind == BK_FENCE:
-                    clock += sfence_ns
-                elif kind == BK_TXN_BEGIN:
-                    txn_start = clock
-                elif kind == BK_TXN_END:
-                    if txn_start is not None:
-                        if measuring:
-                            txn_latencies.append(clock - txn_start)
-                        if tracer_enabled:
-                            tracer.txn(txn_start, clock, core)
-                    txn_start = None
-                elif kind == BK_COMPUTE:
-                    clock += args[i]
-                elif kind == BK_CLWB_CLEAN:
-                    clock += clwb_issue_ns
-                else:  # BK_MEM_HIT_WB / BK_MEM_MISS_WB
-                    clock += cpu_op_ns
-                    clock += lats[i]
-                    if kind == BK_MEM_MISS_WB:
-                        clock = read_line(clock, args[i], core)
-                    # Dirty last-level evictions: asynchronous from the
-                    # core's view (hardware write buffers), and not
-                    # crash-critical (persistent=False).
-                    for victim in wbs[i]:
-                        persist(clock, victim, None, core, False)
-            self.clock = clock
-            start = stop
+                # Dirty last-level evictions: asynchronous from the
+                # core's view (hardware write buffers), and not
+                # crash-critical (persistent=False).
+                for victim in wbs[i]:
+                    persist(clock, victim, None, core, False)
         self.clock = clock
         self._txn_start = txn_start
 

@@ -70,7 +70,7 @@ class Simulator:
         """Replay ``warmup_ops`` (unmeasured) then ``ops`` (measured).
 
         With the production configuration (``hot_path`` and
-        ``batched_replay`` both on) the replay runs through the chunked
+        ``batched_replay`` both on) the replay runs through the
         batched loop (:meth:`CoreEngine.run_batched`); pre-decoded
         ``arrays``/``warmup_arrays`` (from :mod:`repro.sim.trace_cache`)
         skip the decode pass, otherwise the op lists are decoded here.
@@ -212,12 +212,11 @@ def simulate_workload(
     replayed under different schemes isolates the scheme effect.
 
     ``fidelity`` selects how much functional work rides along with the
-    timing model. The default ``"timing"`` forces ``functional=False``
-    (via :class:`SimConfig`'s coupling): traces carry no payloads and no
+    timing model. The default ``"timing"`` makes ``functional`` False
+    (:class:`SimConfig` derives it): traces carry no payloads and no
     pad generation, XOR, or NVM byte image is produced — the historical
-    behaviour of this function. ``"full"`` keeps ``functional`` as the
-    base config has it (True by default), generating payload-tracking
-    traces and running the byte-level crypto path. Both fidelities charge
+    behaviour of this function. ``"full"`` generates payload-tracking
+    traces and runs the byte-level crypto path. Both fidelities charge
     identical latencies and count identical stats — asserted bit-for-bit
     by tests/sim/test_fidelity.py.
 

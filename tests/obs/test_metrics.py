@@ -11,9 +11,6 @@ the JSONL event stream (torn tail tolerated on read).
 import importlib.util
 import json
 import math
-import threading
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -244,35 +241,3 @@ class TestMetricsStream:
     def test_registry_without_stream_drops_events(self):
         MetricsRegistry().event("point", index=1)  # must not raise
 
-
-class TestPromServe:
-    def test_serves_snapshot_file_and_healthz(self, tmp_path):
-        from repro.obs.promserve import build_server
-
-        registry = MetricsRegistry()
-        registry.counter("t_total", "h").inc(7)
-        prom = tmp_path / "out.prom"
-
-        server = build_server(str(prom), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
-        try:
-            # 503 until the snapshot exists...
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics")
-            assert excinfo.value.code == 503
-            # ...then the file, re-read per request.
-            write_prometheus_file(registry.snapshot(), str(prom))
-            body = urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics"
-            ).read().decode()
-            assert "t_total 7" in body
-            health = urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz")
-            assert health.read() == b"ok\n"
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"http://127.0.0.1:{port}/nope")
-            assert excinfo.value.code == 404
-        finally:
-            server.shutdown()
-            server.server_close()

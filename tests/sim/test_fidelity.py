@@ -11,8 +11,9 @@ results are bit-for-bit the same, only cheaper. These tests pin that:
   diverged between the modes — see ``ArrayWorkload.run_op``);
 * sweep-level: the fig13 smoke golden digest is the same under both
   fidelities, and equals the pinned constant in test_runner.py;
-* config plumbing: ``fidelity="timing"`` forces ``functional=False``,
-  and crash/recovery entry points force themselves back to full;
+* config plumbing: ``functional`` is derived from ``fidelity`` (never
+  set on its own), and crash/recovery entry points force themselves
+  back to full;
 * the functional image itself: a full-fidelity crash image (NVM bytes,
   MACs, tree root) is pinned by digest, and rebuilding the integrity
   tree from it costs exactly the hashes the recovery model prices.
@@ -64,13 +65,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(fidelity="fast-and-loose")
 
-    def test_replace_carries_stale_functional(self):
-        """Documents why crash paths must replace *both* fields."""
+    def test_replace_recomputes_functional(self):
+        """``functional`` is derived, so a fidelity change cannot leave
+        it stale."""
         timing = SimConfig(fidelity="timing")
-        full_again = dataclasses.replace(
-            timing, fidelity="full", functional=True
-        )
-        assert full_again.functional is True
+        assert dataclasses.replace(timing, fidelity="full").functional is True
+        assert dataclasses.replace(timing, cwc_enabled=True).functional is False
+
+    def test_functional_is_not_settable(self):
+        with pytest.raises(TypeError):
+            SimConfig(functional=False)
+        with pytest.raises(ValueError):
+            dataclasses.replace(SimConfig(), functional=False)
 
 
 class TestPointEquivalence:

@@ -27,7 +27,7 @@ from repro.workloads.generator import generate_trace
 def make_cfg():
     return dataclasses.replace(
         scheme_config(Scheme.UNSEC, SimConfig(memory=MemoryConfig(capacity=8 << 20))),
-        functional=False,
+        fidelity="timing",
     )
 
 

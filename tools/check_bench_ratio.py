@@ -16,7 +16,7 @@ Current floors:
   ratio at introduction was well above 4x, so this trips on regression,
   not noise).
 * ``batched_vs_hotpath >= 1.3`` — the production batched replay
-  (flat-array chunks + recorded hierarchy-outcome reuse across a sweep's
+  (flat op arrays + recorded hierarchy-outcome reuse across a sweep's
   schemes) must stay at least 1.3x faster than the scalar hot path
   (measured ~1.45x at introduction).
 * ``shared_vs_record >= 1.15`` — a warm fleet member reading every trace
